@@ -20,7 +20,6 @@ from .evidence import (
     CaseData,
     DegenerateCaseError,
     MarkerObservation,
-    group_counts,
     joint_prob_h1,
     joint_prob_h2,
     joint_table_h1,
@@ -44,11 +43,9 @@ from .fileio import (
     write_summary_csv,
 )
 from .genotypes import (
-    ErrorChannel,
     Genotype,
     GenotypePriors,
     channel_matrix,
-    error_channel,
     hwe_priors,
     validate_error_prob,
 )

@@ -12,13 +12,15 @@ commands that sample take an explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 import numpy as np
 
 from .estimation import estimate_w_mle
-from .evidence import DegenerateCaseError, per_marker_log10_lr
+from .evidence import DegenerateCaseError
 from .fileio import (
     ParseError,
     load_study_config,
@@ -218,17 +220,11 @@ def cmd_woe(args) -> int:
     if args.per_marker:
         if per_marker_at is None:
             raise UsageError("--per-marker is not defined for integration methods")
-        from .evidence import joint_table_h1, joint_table_h2
-        from .unknown_w import _per_marker_log10_matrix
+        # Each marker's log10 probability gap between the H1 and H2
+        # evaluation points; for profile these are the two maximizers.
         w1, w2 = per_marker_at
-        if w1 == w2:
-            contributions = per_marker_log10_lr(case, w1, w_r)
-        else:
-            # Profile with distinct maximizers: decompose the WoE as the
-            # per-marker log10 probability gap between the two optima.
-            l1 = _per_marker_log10_matrix(case, np.array([w1]), w_r, joint_table_h1)[0]
-            l2 = _per_marker_log10_matrix(case, np.array([w2]), w_r, joint_table_h2)[0]
-            contributions = l1 - l2
+        kernel = case.kernel(w_r)
+        contributions = (kernel.log10_h1(w1) - kernel.log10_h2(w2))[kernel.inverse]
         marker_rows = [(case.marker_label(i), float(c))
                        for i, c in enumerate(contributions)]
         payload["per_marker_log10_lr"] = [
@@ -277,20 +273,30 @@ def cmd_estimate(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = load_study_config(args.config)
-    # Fail on unwritable outputs before burning compute.
     outputs = [args.records] + ([args.summary] if args.summary else [])
-    for out in outputs:
-        with open(out, "w"):
-            pass
+    # Outputs are written beside themselves and renamed into place at the
+    # end, so a failed run keeps earlier results. Creating the temporaries
+    # first fails on an unwritable output before burning compute.
+    temps: list[str] = []
 
     def progress(done: int, total: int) -> None:
         if not args.quiet and (done % 50 == 0 or done == total):
             print(f"simulated {done}/{total} case pairs", file=sys.stderr)
 
-    records = run_woe_study(config, progress=progress)
-    write_records_csv(records, args.records)
-    if args.summary:
-        write_summary_csv(summarize_records(records), args.summary)
+    try:
+        for out in outputs:
+            temps.append(f"{out}.tmp")
+            open(temps[-1], "w").close()
+        records = run_woe_study(config, progress=progress)
+        write_records_csv(records, temps[0])
+        if args.summary:
+            write_summary_csv(summarize_records(records), temps[1])
+        for tmp, out in zip(temps, outputs):
+            os.replace(tmp, out)
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
     if not args.quiet:
         print(f"wrote {len(records)} records to {args.records}", file=sys.stderr)
     return EXIT_OK

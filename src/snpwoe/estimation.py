@@ -12,12 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .evidence import MarkerObservation, joint_table_h1
-from .genotypes import GenotypePriors, validate_error_prob
+from .evidence import (
+    CaseData,
+    MarkerObservation,
+    _fsum_rows,
+    _polyval_rows,
+    joint_table_h1,
+)
+from .genotypes import CHANNEL_COEFFS, GenotypePriors, validate_error_prob
 from .optimize import maximize_on_interval
 
 __all__ = [
@@ -95,21 +101,27 @@ def pair_prob_same_source(a, b, priors: GenotypePriors, w: float) -> float:
     return float(tbl[int(a), int(b)])
 
 
-def _log_lik_terms(groups: Sequence[tuple[GenotypePriors, np.ndarray]],
-                   w: np.ndarray) -> np.ndarray:
-    """Natural-log likelihood of grouped pair counts at each ``w``."""
-    total = np.zeros(np.shape(w))
-    for priors, counts in groups:
-        tbl = joint_table_h1(priors, w, w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(counts > 0, counts * np.log(tbl), 0.0)
-        total = total + terms.sum(axis=(-2, -1))
-    return total
+def _maximize_rows(priors: np.ndarray, a: np.ndarray, b: np.ndarray,
+                   counts: np.ndarray) -> WEstimate:
+    """MLE from ``counts[k]`` duplicate pairs ``(a[k], b[k])`` under
+    genotype priors ``priors[k]``.
 
+    A pair's probability is ``sum_z p_z T(w)[z, a] T(w)[z, b]``: the H1
+    kernel at ``w_t = w_r = w``, a quartic in ``w``.
+    """
+    coef_a = CHANNEL_COEFFS[:, :, a]   # (i, z, k)
+    coef_b = CHANNEL_COEFFS[:, :, b]   # (j, z, k)
+    products = np.einsum("kz,izk,jzk->kij", priors, coef_a, coef_b)
+    quartic = np.zeros((len(counts), 5))
+    for i in range(3):
+        for j in range(3):
+            quartic[:, i + j] += products[:, i, j]
 
-def _maximize_groups(groups) -> WEstimate:
-    w_hat, value = maximize_on_interval(lambda w: _log_lik_terms(groups, w),
-                                        0.0, _W_UPPER)
+    def log_lik(w: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return _fsum_rows(counts, np.log(_polyval_rows(quartic, w)))
+
+    w_hat, value = maximize_on_interval(log_lik, 0.0, _W_UPPER)
     at_boundary = w_hat == 0.0 or w_hat == _W_UPPER
     return WEstimate(w_hat, value, at_boundary)
 
@@ -121,8 +133,9 @@ def estimate_w_mle(table: PairCountTable) -> WEstimate:
     concordant; that is returned as a valid estimate with
     ``at_boundary=True`` rather than an error.
     """
-    counts = np.asarray(table.counts, dtype=float)
-    return _maximize_groups([(table.priors, counts)])
+    a, b = np.nonzero(table.counts)
+    priors = np.tile(table.priors.as_array(), (len(a), 1))
+    return _maximize_rows(priors, a, b, table.counts[a, b].astype(float))
 
 
 def estimate_w_mle_per_marker(observations: Iterable[MarkerObservation]) -> WEstimate:
@@ -130,19 +143,10 @@ def estimate_w_mle_per_marker(observations: Iterable[MarkerObservation]) -> WEst
 
     Accepts the pairs as marker observations (first read as ``x_t``,
     second as ``x_r``) so each duplicate can carry its own genotype prior;
-    pairs sharing a prior are grouped into count tables internally.
+    identical (priors, pair) observations are counted together internally.
     """
-    groups: dict[GenotypePriors, np.ndarray] = {}
-    n = 0
-    for mk in observations:
-        if not isinstance(mk, MarkerObservation):
-            raise TypeError(f"expected MarkerObservation, got {type(mk).__name__}")
-        tbl = groups.get(mk.priors)
-        if tbl is None:
-            tbl = np.zeros((3, 3))
-            groups[mk.priors] = tbl
-        tbl[mk.x_t.dosage, mk.x_r.dosage] += 1.0
-        n += 1
-    if n == 0:
+    observations = tuple(observations)
+    if not observations:
         raise ValueError("need at least one duplicate pair")
-    return _maximize_groups(list(groups.items()))
+    priors, a, b, counts, _, _ = CaseData(observations)._rows
+    return _maximize_rows(priors, a, b, counts)

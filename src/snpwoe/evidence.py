@@ -6,23 +6,33 @@ trace sample and ``x_r`` from the reference sample, read through error
 channels with probabilities ``w_t`` and ``w_r`` respectively. Under H1 the
 two observations descend from one latent genotype drawn from the population
 priors; under H2 they descend from two independent draws. Markers are
-independent, so case-level quantities sum over markers in a fixed order.
+independent, so case-level quantities are sums over markers.
 
-All probabilities here are exact channel/prior contractions; no sampling.
+Every method evaluates one per-case coefficient table, :class:`CaseKernel`.
+The channel ``T(w)`` is entrywise quadratic in ``w``, so at a fixed ``w_r``
+an observed pair's probability is ``c_h1 · (1, w, w²)`` under H1 and
+``(c_t · (1, w, w²)) · mr`` under H2, ``mr`` being the reference marginal.
+Markers with identical (priors, x_t, x_r) share one row with a count, so a
+method costs O(distinct rows) per ``w``: at most 9 when all markers share a
+prior, m when each has its own allele frequency. Row sums use
+``math.fsum`` and do not depend on marker order. ``joint_table_h1``/``h2``
+are the direct channel/prior contractions, kept as the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
 from .genotypes import (
+    CHANNEL_COEFFS,
     Genotype,
     GenotypePriors,
     channel_matrix,
+    error_prob_array,
     validate_error_prob,
 )
 
@@ -30,6 +40,7 @@ __all__ = [
     "DegenerateCaseError",
     "MarkerObservation",
     "CaseData",
+    "CaseKernel",
     "joint_table_h1",
     "joint_table_h2",
     "trace_marginal",
@@ -39,7 +50,7 @@ __all__ = [
     "woe_known",
     "log10_lik_h1",
     "log10_lik_h2",
-    "group_counts",
+    "per_marker_log10_lr",
 ]
 
 
@@ -103,6 +114,98 @@ class CaseData:
     def marker_label(self, index: int) -> str:
         return self.ids[index] if self.ids is not None else str(index)
 
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        """Markers collapsed on identical (priors, x_t, x_r), in order of
+        first appearance: per row the priors (k, 3), x_t, x_r, the marker
+        count and the first marker; then each marker's row."""
+        index: dict[tuple[GenotypePriors, int, int], int] = {}
+        keys = [(mk.priors, mk.x_t.dosage, mk.x_r.dosage) for mk in self.markers]
+        inverse = np.array([index.setdefault(key, len(index)) for key in keys])
+        _, first, counts = np.unique(inverse, return_index=True, return_counts=True)
+        priors, x_t, x_r = zip(*index)
+        return (np.array([(p.p0, p.p1, p.p2) for p in priors]), np.array(x_t),
+                np.array(x_r), counts.astype(float), first, inverse)
+
+    @cached_property
+    def _kernels(self) -> dict[float, CaseKernel]:
+        return {}
+
+    def kernel(self, w_r: float) -> CaseKernel:
+        """The case's likelihood coefficients at reference error probability
+        ``w_r``; built once per ``w_r`` and kept on this instance."""
+        w_r = validate_error_prob(w_r, "w_r")
+        if w_r not in self._kernels:
+            self._kernels[w_r] = CaseKernel.build(*self._rows, w_r)
+        return self._kernels[w_r]
+
+
+def _polyval_rows(coeffs: np.ndarray, w) -> np.ndarray:
+    """Each row's polynomial (coefficients lowest degree first) at ``w`` by
+    Horner's rule, elementwise so that a row's value does not depend on its
+    position; scalar ``w`` gives shape (k,), shape ``s`` gives (k,) + s."""
+    w = np.asarray(w, dtype=float)
+    c = coeffs.reshape(coeffs.shape + (1,) * w.ndim)
+    out = c[:, -1]
+    for j in range(coeffs.shape[1] - 2, -1, -1):
+        out = c[:, j] + w * out
+    return out
+
+
+def _fsum_rows(counts: np.ndarray, terms: np.ndarray):
+    """``sum_i counts[i] * terms[i]`` by ``math.fsum``: a float for terms of
+    shape (k,), an array of shape s for terms of shape (k,) + s."""
+    weighted = counts.reshape(counts.shape + (1,) * (terms.ndim - 1)) * terms
+    sums = [math.fsum(col) for col in weighted.reshape(len(counts), -1).T.tolist()]
+    return sums[0] if terms.ndim == 1 else np.array(sums).reshape(terms.shape[1:])
+
+
+@dataclass(frozen=True, eq=False)
+class CaseKernel:
+    """A case's likelihood at a fixed ``w_r`` as polynomials in the trace
+    error probability ``w``, which the methods take in [0, 0.5) unchecked.
+
+    Row ``i`` stands for ``counts[i]`` markers with the observed pair
+    ``(x_t[i], x_r[i])`` and one genotype prior, the first of them marker
+    ``first[i]``; marker ``j`` is in row ``inverse[j]``. The row's
+    probability is ``c_h1[i] @ (1, w, w**2)`` under H1 and
+    ``(c_t[i] @ (1, w, w**2)) * 10**log10_mr[i]`` under H2.
+    """
+
+    x_t: np.ndarray
+    x_r: np.ndarray
+    counts: np.ndarray
+    first: np.ndarray
+    inverse: np.ndarray
+    c_h1: np.ndarray
+    c_t: np.ndarray
+    log10_mr: np.ndarray
+
+    @classmethod
+    def build(cls, priors, x_t, x_r, counts, first, inverse, w_r: float) -> CaseKernel:
+        t_r = channel_matrix(w_r)[:, x_r]         # (z, k): T(w_r)[z, x_r]
+        coef_t = CHANNEL_COEFFS[:, :, x_t]        # (j, z, k): A_j[z, x_t]
+        c_t = np.einsum("kz,jzk->kj", priors, coef_t)
+        c_h1 = np.einsum("kz,zk,jzk->kj", priors, t_r, coef_t)
+        with np.errstate(divide="ignore"):  # -inf is rejected by check_h2_support
+            log10_mr = np.log10(np.einsum("kz,zk->k", priors, t_r))
+        return cls(x_t, x_r, counts, first, inverse, c_h1, c_t, log10_mr)
+
+    def log10_h1(self, w) -> np.ndarray:
+        """Per-row log10 P(x_t, x_r | H1, w, w_r); -inf at a hard exclusion."""
+        with np.errstate(divide="ignore"):
+            return np.log10(_polyval_rows(self.c_h1, w))
+
+    def log10_h2(self, w) -> np.ndarray:
+        """Per-row log10 P(x_t, x_r | H2, w, w_r)."""
+        mr = self.log10_mr.reshape(self.log10_mr.shape + (1,) * np.ndim(w))
+        with np.errstate(divide="ignore"):
+            return np.log10(_polyval_rows(self.c_t, w)) + mr
+
+    def total(self, terms: np.ndarray):
+        """Sum over markers of per-row ``terms``, weighted by row counts."""
+        return _fsum_rows(self.counts, terms)
+
 
 def joint_table_h1(priors: GenotypePriors, w_t, w_r) -> np.ndarray:
     """P(X_t = a, X_r = b | same donor) as a table over (a, b).
@@ -162,50 +265,16 @@ def lr(x_t, x_r, priors: GenotypePriors, w_t: float, w_r: float) -> float:
     return num / den
 
 
-def group_counts(case: CaseData) -> list[tuple[GenotypePriors, np.ndarray]]:
-    """Collapse a case into per-priors 3x3 tables of observed pair counts.
-
-    Markers sharing a priors object are exchangeable for likelihood
-    purposes, so grouped counts let every downstream evaluation run as a
-    handful of table contractions. Groups keep first-appearance order.
-    """
-    groups: dict[GenotypePriors, np.ndarray] = {}
-    for mk in case.markers:
-        tbl = groups.get(mk.priors)
-        if tbl is None:
-            tbl = np.zeros((3, 3))
-            groups[mk.priors] = tbl
-        tbl[mk.x_t.dosage, mk.x_r.dosage] += 1.0
-    return list(groups.items())
-
-
-def _counts_weighted_log10(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``sum_ab counts[a, b] * log10(table[..., a, b])`` with zero-count
-    cells contributing exactly zero even when their probability is zero."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(counts > 0.0, counts * np.log10(table), 0.0)
-    return terms.sum(axis=(-2, -1))
-
-
-def _group_log10_lik(groups, w_t, w_r: float, table_fn) -> np.ndarray:
-    total = 0.0
-    for priors, counts in groups:
-        total = total + _counts_weighted_log10(counts, table_fn(priors, w_t, w_r))
-    return total
-
-
 def log10_lik_h1(case: CaseData, w_t, w_r: float):
     """Case-level log10 P(evidence | H1, w_t, w_r); ``w_t`` may be an array."""
-    w_r = validate_error_prob(w_r, "w_r")
-    out = _group_log10_lik(group_counts(case), np.asarray(w_t, float), w_r, joint_table_h1)
-    return float(out) if np.ndim(out) == 0 else out
+    kernel = case.kernel(w_r)
+    return kernel.total(kernel.log10_h1(error_prob_array(w_t)))
 
 
 def log10_lik_h2(case: CaseData, w_t, w_r: float):
     """Case-level log10 P(evidence | H2, w_t, w_r); ``w_t`` may be an array."""
-    w_r = validate_error_prob(w_r, "w_r")
-    out = _group_log10_lik(group_counts(case), np.asarray(w_t, float), w_r, joint_table_h2)
-    return float(out) if np.ndim(out) == 0 else out
+    kernel = case.kernel(w_r)
+    return kernel.total(kernel.log10_h2(error_prob_array(w_t)))
 
 
 def check_h2_support(case: CaseData, w_t: float | None, w_r: float) -> None:
@@ -216,20 +285,16 @@ def check_h2_support(case: CaseData, w_t: float | None, w_r: float) -> None:
     methods that keep the trace error probability strictly inside (0, 1/2),
     where the trace marginal is everywhere positive.
     """
-    cache: dict[GenotypePriors, tuple[np.ndarray, np.ndarray | None]] = {}
-    for idx, mk in enumerate(case.markers):
-        entry = cache.get(mk.priors)
-        if entry is None:
-            mr = trace_marginal(mk.priors, w_r)
-            mt = None if w_t is None else trace_marginal(mk.priors, w_t)
-            entry = (mr, mt)
-            cache[mk.priors] = entry
-        mr, mt = entry
-        if mr[mk.x_r.dosage] == 0.0 or (mt is not None and mt[mk.x_t.dosage] == 0.0):
-            raise DegenerateCaseError(
-                f"marker {case.marker_label(idx)}: observed pair "
-                f"({mk.x_t.dosage}, {mk.x_r.dosage}) has probability zero under H2"
-            )
+    kernel = case.kernel(w_r)
+    bad = np.isneginf(kernel.log10_mr)
+    if w_t is not None:
+        bad |= _polyval_rows(kernel.c_t, w_t) == 0.0
+    if bad.any():
+        row = int(np.argmax(bad))   # rows are in first-appearance order
+        raise DegenerateCaseError(
+            f"marker {case.marker_label(int(kernel.first[row]))}: observed pair "
+            f"({kernel.x_t[row]}, {kernel.x_r[row]}) has probability zero under H2"
+        )
 
 
 def woe_known(case: CaseData, w_t: float, w_r: float) -> float:
@@ -243,13 +308,8 @@ def woe_known(case: CaseData, w_t: float, w_r: float) -> float:
     w_t = validate_error_prob(w_t, "w_t")
     w_r = validate_error_prob(w_r, "w_r")
     check_h2_support(case, w_t, w_r)
-    groups = group_counts(case)
-    parts = []
-    for priors, counts in groups:
-        h1 = _counts_weighted_log10(counts, joint_table_h1(priors, w_t, w_r))
-        h2 = _counts_weighted_log10(counts, joint_table_h2(priors, w_t, w_r))
-        parts.append(float(h1) - float(h2))
-    return math.fsum(parts)
+    kernel = case.kernel(w_r)
+    return kernel.total(kernel.log10_h1(w_t) - kernel.log10_h2(w_t))
 
 
 def per_marker_log10_lr(case: CaseData, w_t: float, w_r: float) -> np.ndarray:
@@ -257,15 +317,5 @@ def per_marker_log10_lr(case: CaseData, w_t: float, w_r: float) -> np.ndarray:
     w_t = validate_error_prob(w_t, "w_t")
     w_r = validate_error_prob(w_r, "w_r")
     check_h2_support(case, w_t, w_r)
-    cache: dict[GenotypePriors, np.ndarray] = {}
-    out = np.empty(case.m)
-    for idx, mk in enumerate(case.markers):
-        tbl = cache.get(mk.priors)
-        if tbl is None:
-            with np.errstate(divide="ignore"):
-                tbl = np.log10(joint_table_h1(mk.priors, w_t, w_r)) - np.log10(
-                    joint_table_h2(mk.priors, w_t, w_r)
-                )
-            cache[mk.priors] = tbl
-        out[idx] = tbl[mk.x_t.dosage, mk.x_r.dosage]
-    return out
+    kernel = case.kernel(w_r)
+    return (kernel.log10_h1(w_t) - kernel.log10_h2(w_t))[kernel.inverse]

@@ -105,7 +105,7 @@ def parse_case_file(path) -> CaseData:
 
     The header picks one priors form for the whole file. Allele
     frequencies and renormalized explicit priors are cached so markers
-    with identical priors compare and group as equal.
+    with identical priors share one priors object.
     """
     rows = _read_rows(path)
     if not rows:

@@ -17,11 +17,9 @@ import numpy as np
 __all__ = [
     "Genotype",
     "GenotypePriors",
-    "ErrorChannel",
     "hwe_priors",
     "validate_error_prob",
     "channel_matrix",
-    "error_channel",
 ]
 
 DOSAGES = (0, 1, 2)
@@ -109,6 +107,14 @@ def validate_error_prob(w: float, name: str = "w") -> float:
     return w
 
 
+def error_prob_array(w) -> np.ndarray:
+    """``w`` as a float array, checked to lie in [0, 0.5) elementwise."""
+    w = np.asarray(w, dtype=float)
+    if w.size and (np.any(np.isnan(w)) or np.any(w < 0.0) or np.any(w >= 0.5)):
+        raise ValueError("error probabilities must lie in [0, 0.5)")
+    return w
+
+
 def channel_matrix(w) -> np.ndarray:
     """Observation matrix of the error channel, ``t[z, x] = P(X = x | Z = z)``.
 
@@ -124,9 +130,7 @@ def channel_matrix(w) -> np.ndarray:
         Error probabilities in [0, 0.5). An input of shape ``s`` yields an
         array of shape ``s + (3, 3)``; a scalar yields shape ``(3, 3)``.
     """
-    w = np.asarray(w, dtype=float)
-    if w.size and (np.any(np.isnan(w)) or np.any(w < 0.0) or np.any(w >= 0.5)):
-        raise ValueError("error probabilities must lie in [0, 0.5)")
+    w = error_prob_array(w)
     keep = 1.0 - w
     single = w * keep
     t = np.empty(w.shape + (3, 3))
@@ -142,33 +146,13 @@ def channel_matrix(w) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True, eq=False)
-class ErrorChannel:
-    """A validated 3x3 observation matrix with its defining invariants.
-
-    Wraps the raw array form for call sites that want the structural
-    guarantees (row-stochastic, doubly symmetric) checked once up front.
-    """
-
-    t: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.array(self.t, dtype=float)
-        if t.shape != (3, 3):
-            raise ValueError(f"channel matrix must be 3x3, got shape {t.shape}")
-        if np.any(np.isnan(t)) or np.any(t < 0.0):
-            raise ValueError("channel entries must be nonnegative")
-        if np.any(np.abs(t.sum(axis=1) - 1.0) > _SUM_TOL):
-            raise ValueError("channel rows must sum to 1")
-        if np.any(np.abs(t - t[::-1, ::-1]) > _SUM_TOL):
-            raise ValueError("channel must satisfy t[z, x] == t[2 - z, 2 - x]")
-        t.flags.writeable = False
-        object.__setattr__(self, "t", t)
-
-    def __getitem__(self, key):
-        return self.t[key]
-
-
-def error_channel(w: float) -> ErrorChannel:
-    """The error channel at a single error probability ``w`` in [0, 0.5)."""
-    return ErrorChannel(channel_matrix(validate_error_prob(w)))
+# The channel is entrywise quadratic in ``w``:
+# ``channel_matrix(w) == CHANNEL_COEFFS[0] + w * CHANNEL_COEFFS[1]
+# + w**2 * CHANNEL_COEFFS[2]``. The constant term is the identity, so
+# products with it keep exact zeros at ``w = 0``.
+CHANNEL_COEFFS = np.array([
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    [[-2.0, 2.0, 0.0], [1.0, -2.0, 1.0], [0.0, 2.0, -2.0]],
+    [[1.0, -2.0, 1.0], [-1.0, 2.0, -1.0], [1.0, -2.0, 1.0]],
+])
+CHANNEL_COEFFS.flags.writeable = False

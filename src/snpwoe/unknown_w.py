@@ -24,17 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .evidence import (
-    CaseData,
-    _counts_weighted_log10,
-    check_h2_support,
-    group_counts,
-    joint_table_h1,
-    joint_table_h2,
-    trace_marginal,
-    woe_known,
-)
-from .genotypes import GenotypePriors, validate_error_prob
+from .evidence import CaseData, check_h2_support, woe_known
+from .genotypes import validate_error_prob
 from .optimize import maximize_on_interval
 from .scaled_beta import ScaledBeta
 
@@ -124,24 +115,6 @@ def woe_plugin(case: CaseData, w_r: float) -> WoEResult:
     return WoEResult(woe_known(case, w_r, w_r), METHOD_PLUGIN)
 
 
-def _per_marker_log10_matrix(case: CaseData, draws: np.ndarray, w_r: float,
-                             table_fn) -> np.ndarray:
-    """(n_draws, m) matrix of per-marker log10 probabilities at each draw."""
-    cache: dict[GenotypePriors, np.ndarray] = {}
-    cols = []
-    for mk in case.markers:
-        logs = cache.get(mk.priors)
-        if logs is None:
-            # Cells for unobserved dosage pairs may be 0 (e.g. a degenerate
-            # reference marginal); only observed, support-checked cells are
-            # ever indexed out of the log table.
-            with np.errstate(divide="ignore"):
-                logs = np.log10(table_fn(mk.priors, draws, w_r))
-            cache[mk.priors] = logs
-        cols.append(logs[:, mk.x_t.dosage, mk.x_r.dosage])
-    return np.column_stack(cols)
-
-
 def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
                      rng: np.random.Generator, n_samples: int = 1000,
                      prior_h2: ScaledBeta | None = None) -> WoEResult:
@@ -163,23 +136,41 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     check_h2_support(case, None, w_r)
+    kernel = case.kernel(w_r)
     draws = prior.sample(rng, n_samples)
     draws_h2 = draws if prior_h2 is None else prior_h2.sample(rng, n_samples)
-    l1 = _per_marker_log10_matrix(case, draws, w_r, joint_table_h1)
-    l2 = _per_marker_log10_matrix(case, draws_h2, w_r, joint_table_h2)
-    diff = l1 - l2
-    woe = math.fsum(diff.ravel().tolist()) / n_samples
-    per_draw = diff.sum(axis=1)
+    diff = kernel.log10_h1(draws) - kernel.log10_h2(draws_h2)   # (rows, draws)
+    weighted = kernel.counts[:, None] * diff
+    woe = math.fsum(weighted.ravel().tolist()) / n_samples
+    per_draw = weighted.sum(axis=0)
     se = float(np.std(per_draw, ddof=1) / math.sqrt(n_samples))
     return WoEResult(woe, METHOD_INTEGRATE_MC, mc_std_error=se)
 
 
-def _quad_log10_mean(integrand, tol: float) -> tuple[float, float, bool]:
-    """Integrate over (0, 1) in prior-CDF space; returns (value, abserr, ok)."""
-    value, abserr, info, *tail = quad(integrand, 0.0, 1.0, epsabs=0.5 * tol,
-                                      epsrel=0.0, limit=200, full_output=1)
-    ok = not tail and abserr <= tol
-    return value, abserr, ok
+def _integrator(prior: ScaledBeta, tol: float):
+    """``coeffs -> (value, abserr, ok)`` of ``E_prior[log10(c0 + w*(c1 +
+    w*c2))]``, one quadrature per distinct coefficient triple. Quantiles are
+    memoized per node, since the integrals visit mostly the same nodes."""
+    quantiles: dict[float, float] = {}
+    done: dict[tuple[float, float, float], tuple[float, float, bool]] = {}
+
+    def integrate(coeffs: tuple[float, float, float]) -> tuple[float, float, bool]:
+        if coeffs not in done:
+            c0, c1, c2 = coeffs
+
+            def log10_at(v: float) -> float:
+                w = quantiles.get(v)
+                if w is None:
+                    w = quantiles[v] = max(prior.quantile(v), _W_FLOOR)
+                return math.log10(c0 + w * (c1 + w * c2))
+
+            # Integrate over (0, 1) in prior-CDF space.
+            value, abserr, _, *tail = quad(log10_at, 0.0, 1.0, epsabs=0.5 * tol, epsrel=0.0,
+                                           limit=200, full_output=1)
+            done[coeffs] = (value, abserr, not tail and abserr <= tol)
+        return done[coeffs]
+
+    return integrate
 
 
 def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
@@ -191,52 +182,29 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     hypothesis. The integrals run in prior-CDF space (substituting
     ``w_t = quantile(v)``), which concentrates nodes where the prior has
     mass and keeps the endpoint behaviour integrable even for priors with
-    unbounded density. Identical (pair, priors) markers share one
-    evaluation. Under H2 the trace and reference factors separate, so only
-    the trace factor needs quadrature. ``prior_h2``, when given, replaces
-    the prior in the H2 integrals.
+    unbounded density. Under H2 the trace and reference factors separate,
+    so only the trace factor needs quadrature. Each distinct H1 and each
+    distinct trace polynomial of the case kernel is integrated once.
+    ``prior_h2``, when given, replaces the prior in the H2 integrals.
     """
     w_r = validate_error_prob(w_r, "w_r")
     tol = float(tol)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     check_h2_support(case, None, w_r)
-    p_h2 = prior if prior_h2 is None else prior_h2
-
-    # Representative marker label per (priors, pair), for failure reports.
-    labels: dict[tuple[GenotypePriors, int, int], str] = {}
-    for idx, mk in enumerate(case.markers):
-        labels.setdefault((mk.priors, mk.x_t.dosage, mk.x_r.dosage),
-                          case.marker_label(idx))
-
+    kernel = case.kernel(w_r)
+    integrate_h1 = _integrator(prior, tol)
+    integrate_h2 = integrate_h1 if prior_h2 is None else _integrator(prior_h2, tol)
     total_parts: list[float] = []
     failures: list[tuple[float, str]] = []
-    for priors, counts in group_counts(case):
-        # Unobserved dosages may have zero reference-marginal probability;
-        # their -inf logs are never read because those cells have count 0.
-        with np.errstate(divide="ignore"):
-            log_mr = np.log10(trace_marginal(priors, w_r))
-        for a in range(3):
-            for b in range(3):
-                n_ab = counts[a, b]
-                if n_ab == 0.0:
-                    continue
-
-                def h1_at(v: float, _a=a, _b=b, _p=priors) -> float:
-                    w = max(prior.quantile(v), _W_FLOOR)
-                    return math.log10(joint_table_h1(_p, w, w_r)[_a, _b])
-
-                def h2_trace_at(v: float, _a=a, _p=priors) -> float:
-                    w = max(p_h2.quantile(v), _W_FLOOR)
-                    return math.log10(trace_marginal(_p, w)[_a])
-
-                i1, err1, ok1 = _quad_log10_mean(h1_at, tol)
-                i2, err2, ok2 = _quad_log10_mean(h2_trace_at, tol)
-                if not (ok1 and ok2):
-                    failures.append((max(err1, err2),
-                                     labels[(priors, a, b)]))
-                    continue
-                total_parts.append(n_ab * (i1 - (i2 + float(log_mr[b]))))
+    for i, (c_h1, c_t) in enumerate(zip(kernel.c_h1.tolist(), kernel.c_t.tolist())):
+        i1, err1, ok1 = integrate_h1(tuple(c_h1))
+        i2, err2, ok2 = integrate_h2(tuple(c_t))
+        if not (ok1 and ok2):
+            failures.append((max(err1, err2),
+                             case.marker_label(int(kernel.first[i]))))
+            continue
+        total_parts.append(kernel.counts[i] * (i1 - (i2 + kernel.log10_mr[i])))
     if failures:
         worst_err, worst_label = max(failures)
         raise QuadratureError(
@@ -268,21 +236,8 @@ def woe_profile(case: CaseData, w_r: float, lower: float = 0.0,
     if not lower < hi:
         raise ValueError(f"search interval [{lower!r}, {upper!r}] collapses "
                          "after excluding 0.5")
-    groups = group_counts(case)
-
-    def obj_h1(w: np.ndarray) -> np.ndarray:
-        return _group_objective(groups, w, w_r, joint_table_h1)
-
-    def obj_h2(w: np.ndarray) -> np.ndarray:
-        return _group_objective(groups, w, w_r, joint_table_h2)
-
-    w1, v1 = maximize_on_interval(obj_h1, lower, hi)
-    w2, v2 = maximize_on_interval(obj_h2, lower, hi)
+    kernel = case.kernel(w_r)
+    w1, v1 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h1(w)), lower, hi)
+    w2, v2 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h2(w)), lower, hi)
     return WoEResult(v1 - v2, METHOD_PROFILE, w_hat_h1=w1, w_hat_h2=w2)
 
-
-def _group_objective(groups, w: np.ndarray, w_r: float, table_fn) -> np.ndarray:
-    total = np.zeros(np.shape(w))
-    for priors, counts in groups:
-        total = total + _counts_weighted_log10(counts, table_fn(priors, w, w_r))
-    return total

@@ -271,6 +271,22 @@ class TestSimulateAndEce:
                      "--quiet"]) == EXIT_NUMERIC
         capsys.readouterr()
 
+    def test_failed_run_keeps_previous_outputs(self, tmp_path, capsys):
+        code, records, summary = self.run_simulate(tmp_path, capsys, ("--quiet",))
+        assert code == EXIT_OK
+        before = records.read_bytes(), summary.read_bytes()
+        cfg = tmp_path / "failing.yaml"
+        cfg.write_text(CONFIG_TEXT.replace(
+            "methods: [true-w, profile]",
+            "methods: [integrate-quad]\nquad_tol: 1e-300\n"
+            "priors:\n  - {id: tight, mean: 1e-4, variance: 5e-9}"))
+        assert main(["simulate", str(cfg), "--records", str(records),
+                     "--summary", str(summary), "--quiet"]) == EXIT_NUMERIC
+        assert (records.read_bytes(), summary.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "failing.yaml", "records.csv", "study.yaml", "summary.csv"]
+        capsys.readouterr()
+
     def test_ece_pipeline(self, tmp_path, capsys):
         code, records_path, _ = self.run_simulate(tmp_path, capsys, ("--quiet",))
         assert code == EXIT_OK

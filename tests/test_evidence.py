@@ -13,7 +13,6 @@ from snpwoe.evidence import (
     CaseData,
     DegenerateCaseError,
     MarkerObservation,
-    group_counts,
     joint_prob_h1,
     joint_prob_h2,
     joint_table_h1,
@@ -214,18 +213,37 @@ class TestWoeKnown:
                             rel_tol=1e-10)
 
 
-class TestGroupCounts:
-    def test_groups_by_priors_preserving_order(self):
+class TestCaseKernel:
+    def test_rows_keep_first_appearance_order(self):
         pa, pb = hwe_priors(0.75), hwe_priors(0.9)
         case = CaseData((
             MarkerObservation(0, 0, pa),
             MarkerObservation(1, 1, pb),
-            MarkerObservation(0, 0, pa),
+            MarkerObservation(0, 0, hwe_priors(0.75)),
+            MarkerObservation(0, 1, pa),
         ))
-        groups = group_counts(case)
-        assert [g[0] for g in groups] == [pa, pb]
-        assert groups[0][1][0, 0] == 2.0
-        assert groups[0][1].sum() == 2.0 and groups[1][1].sum() == 1.0
+        kernel = case.kernel(1e-4)
+        assert kernel.counts.tolist() == [2.0, 1.0, 1.0]
+        assert kernel.first.tolist() == [0, 1, 3]
+        assert kernel.inverse.tolist() == [0, 1, 0, 2]
+        assert kernel.x_t.tolist() == [0, 1, 0] and kernel.x_r.tolist() == [0, 1, 1]
+
+    def test_built_once_per_w_r(self):
+        case = random_case(np.random.default_rng(3), m=10, n_priors=3)
+        assert case.kernel(1e-4) is case.kernel(1e-4)
+        assert case.kernel(1e-3) is not case.kernel(1e-4)
+
+    @given(q=open_freqs, w_t=error_probs, w_r=error_probs, a=dosages, b=dosages)
+    @settings(max_examples=80)
+    def test_coefficients_reproduce_joint_tables(self, q, w_t, w_r, a, b):
+        priors = hwe_priors(q)
+        kernel = CaseData((MarkerObservation(a, b, priors),)).kernel(w_r)
+        h1 = joint_table_h1(priors, w_t, w_r)[a, b]
+        h2 = joint_table_h2(priors, w_t, w_r)[a, b]
+        v = np.array([1.0, w_t, w_t * w_t])
+        assert math.isclose(kernel.c_h1[0] @ v, h1, rel_tol=1e-12, abs_tol=1e-300)
+        assert math.isclose((kernel.c_t[0] @ v) * 10.0 ** kernel.log10_mr[0], h2,
+                            rel_tol=1e-12, abs_tol=1e-300)
 
 
 class TestCaseLogLikelihoods:

@@ -8,11 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from snpwoe.genotypes import (
-    ErrorChannel,
+    CHANNEL_COEFFS,
     Genotype,
     GenotypePriors,
     channel_matrix,
-    error_channel,
     hwe_priors,
     validate_error_prob,
 )
@@ -124,6 +123,12 @@ class TestChannelMatrix:
         assert np.all(np.abs(t.sum(axis=1) - 1.0) <= 1e-12)
 
     @given(w=error_probs)
+    def test_quadratic_coefficients(self, w):
+        a0, a1, a2 = CHANNEL_COEFFS
+        assert np.allclose(channel_matrix(w), a0 + w * (a1 + w * a2),
+                           rtol=0, atol=4e-16)
+
+    @given(w=error_probs)
     def test_double_symmetry(self, w):
         t = channel_matrix(w)
         assert np.array_equal(t, t[::-1, ::-1])
@@ -137,24 +142,6 @@ class TestChannelMatrix:
         tlo, thi = channel_matrix(lo), channel_matrix(hi)
         for z in range(3):
             assert thi[z, z] < tlo[z, z]
-
-
-class TestErrorChannel:
-    def test_wraps_matrix(self):
-        ch = error_channel(0.01)
-        assert np.array_equal(ch.t, channel_matrix(0.01))
-        assert ch[1, 1] == channel_matrix(0.01)[1, 1]
-
-    def test_immutable(self):
-        ch = error_channel(0.01)
-        with pytest.raises(ValueError):
-            ch.t[0, 0] = 0.0
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            ErrorChannel(np.full((3, 3), 1.0 / 3.0) + np.diag([0.1, 0, -0.1]))
-        with pytest.raises(ValueError):
-            ErrorChannel(np.eye(4))
 
 
 class TestStochasticConsistency:
