@@ -43,7 +43,6 @@ from .fileio import (
     write_summary_csv,
 )
 from .genotypes import (
-    Genotype,
     GenotypePriors,
     channel_matrix,
     hwe_priors,

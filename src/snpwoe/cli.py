@@ -202,6 +202,8 @@ def cmd_woe(args) -> int:
         if args.integration == "mc":
             if args.mc_samples < 2:
                 raise UsageError(f"--mc-samples must be at least 2, got {args.mc_samples}")
+            if args.seed < 0:
+                raise UsageError(f"--seed must be nonnegative, got {args.seed}")
             rng = np.random.default_rng(np.random.SeedSequence(args.seed))
             result = woe_integrate_mc(case, prior, w_r, rng, args.mc_samples)
             payload["mc_samples"] = args.mc_samples

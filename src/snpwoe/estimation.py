@@ -23,7 +23,7 @@ from .evidence import (
     _polyval_rows,
     joint_table_h1,
 )
-from .genotypes import CHANNEL_COEFFS, GenotypePriors, validate_error_prob
+from .genotypes import CHANNEL_COEFFS, GenotypePriors, validate_dosage, validate_error_prob
 from .optimize import maximize_on_interval
 
 __all__ = [
@@ -98,7 +98,7 @@ def pair_prob_same_source(a, b, priors: GenotypePriors, w: float) -> float:
     """P(observing dosages (a, b)) for duplicate reads of one genotype."""
     w = validate_error_prob(w)
     tbl = joint_table_h1(priors, w, w)
-    return float(tbl[int(a), int(b)])
+    return float(tbl[validate_dosage(a), validate_dosage(b)])
 
 
 def _maximize_rows(priors: np.ndarray, a: np.ndarray, b: np.ndarray,

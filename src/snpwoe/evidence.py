@@ -14,9 +14,9 @@ an observed pair's probability is ``c_h1 · (1, w, w²)`` under H1 and
 ``(c_t · (1, w, w²)) · mr`` under H2, ``mr`` being the reference marginal.
 Markers with identical (priors, x_t, x_r) share one row with a count, so a
 method costs O(distinct rows) per ``w``: at most 9 when all markers share a
-prior, m when each has its own allele frequency. Row sums use
-``math.fsum`` and do not depend on marker order. ``joint_table_h1``/``h2``
-are the direct channel/prior contractions, kept as the reference.
+prior, m when each has its own allele frequency. Rows are sorted by value;
+row sums use ``math.fsum`` and depend on neither row nor marker order.
+``joint_table_h1``/``h2`` are the direct contractions, kept as reference.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ import numpy as np
 
 from .genotypes import (
     CHANNEL_COEFFS,
-    Genotype,
     GenotypePriors,
     channel_matrix,
     error_prob_array,
+    prior_array,
+    validate_dosage,
     validate_error_prob,
 )
 
@@ -59,73 +60,92 @@ class DegenerateCaseError(ValueError):
     ratio exists for the case."""
 
 
-def _coerce_genotype(g) -> Genotype:
-    return g if isinstance(g, Genotype) else Genotype(g)
-
-
 @dataclass(frozen=True)
 class MarkerObservation:
     """One marker's observed trace/reference dosage pair and its priors."""
 
-    x_t: Genotype
-    x_r: Genotype
+    x_t: int
+    x_r: int
     priors: GenotypePriors
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x_t", _coerce_genotype(self.x_t))
-        object.__setattr__(self, "x_r", _coerce_genotype(self.x_r))
+        object.__setattr__(self, "x_t", validate_dosage(self.x_t))
+        object.__setattr__(self, "x_r", validate_dosage(self.x_r))
         if not isinstance(self.priors, GenotypePriors):
             raise TypeError(f"priors must be GenotypePriors, got {type(self.priors).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CaseData:
-    """Ordered, nonempty collection of independent marker observations.
-
-    ``ids`` optionally names the markers (same length, unique); positions
-    are used in diagnostics when ids are absent.
+    """Ordered, nonempty case of independent markers as read-only columns:
+    int dosages ``x_t``, ``x_r`` of shape (m,) and ``priors`` of shape (m, 3),
+    from :class:`MarkerObservation` records or :meth:`from_arrays`. ``ids``
+    optionally names the markers (same length, unique); positions are used
+    in diagnostics when ids are absent.
     """
 
-    markers: tuple[MarkerObservation, ...]
-    ids: tuple[str, ...] | None = None
+    x_t: np.ndarray
+    x_r: np.ndarray
+    priors: np.ndarray
+    ids: tuple[str, ...] | None
 
-    def __post_init__(self) -> None:
-        markers = tuple(self.markers)
-        if not markers:
-            raise ValueError("a case needs at least one marker")
+    def __init__(self, markers, ids=None) -> None:
+        markers = tuple(markers)
         for mk in markers:
             if not isinstance(mk, MarkerObservation):
                 raise TypeError(f"markers must be MarkerObservation, got {type(mk).__name__}")
-        object.__setattr__(self, "markers", markers)
-        if self.ids is not None:
-            ids = tuple(str(i) for i in self.ids)
-            if len(ids) != len(markers):
-                raise ValueError(
-                    f"got {len(ids)} marker ids for {len(markers)} markers"
-                )
+        self._set_columns([mk.x_t for mk in markers], [mk.x_r for mk in markers],
+                          [(mk.priors.p0, mk.priors.p1, mk.priors.p2) for mk in markers], ids)
+
+    @classmethod
+    def from_arrays(cls, x_t, x_r, priors, ids=None) -> CaseData:
+        """A case from its columns: integer dosages ``x_t``, ``x_r`` of length
+        m and genotype priors of shape (m, 3), each row in [0, 1] summing to 1."""
+        case = cls.__new__(cls)
+        case._set_columns(x_t, x_r, priors, ids)
+        return case
+
+    def _set_columns(self, x_t, x_r, priors, ids) -> None:
+        """The one check both constructors run; stores read-only columns."""
+        if not np.size(x_t):
+            raise ValueError("a case needs at least one marker")
+        x_t, x_r = validate_dosage(x_t, "x_t"), validate_dosage(x_r, "x_r")
+        priors = prior_array(priors)
+        m = len(priors)
+        if np.shape(x_t) != (m,) or np.shape(x_r) != (m,):
+            raise ValueError(f"dosages x_t and x_r must have shape ({m},) to match {m} rows "
+                             f"of priors, got {np.shape(x_t)} and {np.shape(x_r)}")
+        if ids is not None:
+            ids = tuple(str(i) for i in ids)
+            if len(ids) != m:
+                raise ValueError(f"got {len(ids)} marker ids for {m} markers")
             if len(set(ids)) != len(ids):
                 raise ValueError("marker ids must be unique")
-            object.__setattr__(self, "ids", ids)
+        for name, column in (("x_t", x_t), ("x_r", x_r), ("priors", priors)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "ids", ids)
 
     @property
     def m(self) -> int:
-        return len(self.markers)
+        return len(self.x_t)
 
     def marker_label(self, index: int) -> str:
         return self.ids[index] if self.ids is not None else str(index)
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, ...]:
-        """Markers collapsed on identical (priors, x_t, x_r), in order of
-        first appearance: per row the priors (k, 3), x_t, x_r, the marker
-        count and the first marker; then each marker's row."""
-        index: dict[tuple[GenotypePriors, int, int], int] = {}
-        keys = [(mk.priors, mk.x_t.dosage, mk.x_r.dosage) for mk in self.markers]
-        inverse = np.array([index.setdefault(key, len(index)) for key in keys])
-        _, first, counts = np.unique(inverse, return_index=True, return_counts=True)
-        priors, x_t, x_r = zip(*index)
-        return (np.array([(p.p0, p.p1, p.p2) for p in priors]), np.array(x_t),
-                np.array(x_r), counts.astype(float), first, inverse)
+        """Markers collapsed on identical values of (priors, x_t, x_r), in
+        sorted order of those values: per row the priors (k, 3), x_t, x_r,
+        the marker count and the first marker; then each marker's row."""
+        # Each marker's key is its row of bytes, with -0.0 made 0.0 so that
+        # bytes agree exactly when values do (the priors hold no NaN).
+        keys = np.ascontiguousarray(np.column_stack([self.priors + 0.0, self.x_t, self.x_r]))
+        keys = keys.view(np.dtype((np.void, keys.strides[0]))).ravel()
+        _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                              return_counts=True)
+        return (self.priors[first], self.x_t[first], self.x_r[first],
+                counts.astype(float), first, inverse)
 
     @cached_property
     def _kernels(self) -> dict[float, CaseKernel]:
@@ -234,16 +254,16 @@ def trace_marginal(priors: GenotypePriors, w) -> np.ndarray:
 
 
 def joint_prob_h1(x_t, x_r, priors: GenotypePriors, w_t: float, w_r: float) -> float:
-    a = _coerce_genotype(x_t).dosage
-    b = _coerce_genotype(x_r).dosage
+    a = validate_dosage(x_t)
+    b = validate_dosage(x_r)
     w_t = validate_error_prob(w_t, "w_t")
     w_r = validate_error_prob(w_r, "w_r")
     return float(joint_table_h1(priors, w_t, w_r)[a, b])
 
 
 def joint_prob_h2(x_t, x_r, priors: GenotypePriors, w_t: float, w_r: float) -> float:
-    a = _coerce_genotype(x_t).dosage
-    b = _coerce_genotype(x_r).dosage
+    a = validate_dosage(x_t)
+    b = validate_dosage(x_r)
     w_t = validate_error_prob(w_t, "w_t")
     w_r = validate_error_prob(w_r, "w_r")
     return float(joint_table_h2(priors, w_t, w_r)[a, b])
@@ -259,7 +279,7 @@ def lr(x_t, x_r, priors: GenotypePriors, w_t: float, w_r: float) -> float:
     den = joint_prob_h2(x_t, x_r, priors, w_t, w_r)
     if den == 0.0:
         raise DegenerateCaseError(
-            f"observed pair ({_coerce_genotype(x_t).dosage}, {_coerce_genotype(x_r).dosage}) "
+            f"observed pair ({x_t}, {x_r}) "
             "has probability zero under H2; likelihood ratio undefined"
         )
     return num / den
@@ -290,7 +310,7 @@ def check_h2_support(case: CaseData, w_t: float | None, w_r: float) -> None:
     if w_t is not None:
         bad |= _polyval_rows(kernel.c_t, w_t) == 0.0
     if bad.any():
-        row = int(np.argmax(bad))   # rows are in first-appearance order
+        row = np.flatnonzero(bad)[np.argmin(kernel.first[bad])]
         raise DegenerateCaseError(
             f"marker {case.marker_label(int(kernel.first[row]))}: observed pair "
             f"({kernel.x_t[row]}, {kernel.x_r[row]}) has probability zero under H2"

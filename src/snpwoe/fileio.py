@@ -1,6 +1,6 @@
 """File formats: case tables, duplicate pair counts, study configs, results.
 
-All tabular formats are plain comma-separated text with a header row.
+All tabular formats are comma-separated UTF-8 text with a header row.
 Floats are written with ``repr``, which round-trips every double exactly
 and renders negative infinity as the literal ``-inf``; readers accept that
 literal back. Parse failures raise :class:`ParseError` with a one-line
@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
-from pathlib import Path
+import typing
+from dataclasses import fields
 
 import numpy as np
 import yaml
 
 from .estimation import PairCountTable
-from .evidence import CaseData, MarkerObservation
-from .genotypes import GenotypePriors, hwe_priors
+from .evidence import CaseData
+from .genotypes import GenotypePriors, hwe_prior_array, hwe_priors
 from .scaled_beta import ScaledBeta
 from .study import (
     EceRow,
@@ -71,12 +71,14 @@ def _parse_dosage(text: str, path, line: int, column: str) -> int:
 
 def _read_rows(path) -> list[tuple[int, list[str]]]:
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             rows = [(reader.line_num, [cell.strip() for cell in row])
                     for row in reader]
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     return [(num, row) for num, row in rows if any(cell for cell in row)]
 
 
@@ -88,14 +90,14 @@ _CASE_HEADER_P = ["marker_id", "x_t", "x_r", "p0", "p1", "p2"]
 _FILE_PRIOR_TOL = 1e-9
 
 
-def _priors_from_row(parts: list[float], path, line: int) -> GenotypePriors:
+def _priors_from_row(parts: list[float], path, line: int) -> list[float]:
     for name, p in zip(("p0", "p1", "p2"), parts):
         if math.isnan(p) or not 0.0 <= p <= 1.0:
             _fail(path, line, f"column {name!r}: probability must lie in [0, 1], got {p!r}")
     total = math.fsum(parts)
     if abs(total - 1.0) > _FILE_PRIOR_TOL:
         _fail(path, line, f"genotype priors must sum to 1 within {_FILE_PRIOR_TOL}, got {total!r}")
-    return GenotypePriors(*(p / total for p in parts))
+    return [p / total for p in parts]
 
 
 def parse_case_file(path) -> CaseData:
@@ -103,9 +105,9 @@ def parse_case_file(path) -> CaseData:
     observed dosages ``x_t``/``x_r``, and priors as either an allele
     frequency column ``q`` or explicit columns ``p0,p1,p2``.
 
-    The header picks one priors form for the whole file. Allele
-    frequencies and renormalized explicit priors are cached so markers
-    with identical priors share one priors object.
+    The header picks one priors form for the whole file. Rows are checked
+    one at a time, so errors name their line; the case is built from the
+    columns.
     """
     rows = _read_rows(path)
     if not rows:
@@ -122,9 +124,10 @@ def parse_case_file(path) -> CaseData:
     if len(rows) == 1:
         _fail(path, header_line, "case file has a header but no markers")
 
-    prior_cache: dict[tuple, GenotypePriors] = {}
-    markers: list[MarkerObservation] = []
     ids: list[str] = []
+    x_t: list[int] = []
+    x_r: list[int] = []
+    priors: list = []   # allele frequencies, or explicit prior rows
     seen: set[str] = set()
     for line, row in rows[1:]:
         if len(row) != len(header):
@@ -135,27 +138,18 @@ def parse_case_file(path) -> CaseData:
         if marker_id in seen:
             _fail(path, line, f"duplicate marker_id {marker_id!r}")
         seen.add(marker_id)
-        x_t = _parse_dosage(row[1], path, line, "x_t")
-        x_r = _parse_dosage(row[2], path, line, "x_r")
+        ids.append(marker_id)
+        x_t.append(_parse_dosage(row[1], path, line, "x_t"))
+        x_r.append(_parse_dosage(row[2], path, line, "x_r"))
         if use_q:
             q = _parse_float(row[3], path, line, "q")
             if math.isnan(q) or not 0.0 < q < 1.0:
                 _fail(path, line, f"column 'q': allele frequency must lie in (0, 1), got {q!r}")
-            key = (q,)
-            priors = prior_cache.get(key)
-            if priors is None:
-                priors = hwe_priors(q)
-                prior_cache[key] = priors
+            priors.append(q)
         else:
             parts = [_parse_float(row[3 + i], path, line, f"p{i}") for i in range(3)]
-            key = tuple(parts)
-            priors = prior_cache.get(key)
-            if priors is None:
-                priors = _priors_from_row(parts, path, line)
-                prior_cache[key] = priors
-        ids.append(marker_id)
-        markers.append(MarkerObservation(x_t, x_r, priors))
-    return CaseData(tuple(markers), tuple(ids))
+            priors.append(_priors_from_row(parts, path, line))
+    return CaseData.from_arrays(x_t, x_r, hwe_prior_array(priors) if use_q else priors, ids)
 
 
 def parse_pair_table_file(path) -> PairCountTable:
@@ -178,7 +172,7 @@ def parse_pair_table_file(path) -> PairCountTable:
         priors = hwe_priors(q)
     elif spec[0] == "p" and len(spec) == 4:
         parts = [_parse_float(spec[1 + i], path, line, f"p{i}") for i in range(3)]
-        priors = _priors_from_row(parts, path, line)
+        priors = GenotypePriors(*_priors_from_row(parts, path, line))
     else:
         _fail(path, line, f"first line must be 'q,<freq>' or 'p,<p0>,<p1>,<p2>', got {','.join(spec)!r}")
     line, header = rows[1]
@@ -190,7 +184,7 @@ def parse_pair_table_file(path) -> PairCountTable:
             _fail(path, line, f"count row must start with dosage label {a}, got {','.join(row)!r}")
         for b in range(3):
             text = row[1 + b]
-            if not text.isdigit():
+            if not (text.isascii() and text.isdigit()):
                 _fail(path, line, f"count for pair ({a}, {b}) must be a nonnegative integer, got {text!r}")
             counts[a, b] = int(text)
     if counts.sum() < 1:
@@ -224,10 +218,19 @@ def _number(value, path, name: str) -> float:
         _config_error(path, f"{name} must be a number, got {value!r}")
 
 
-def _number_list(value, path, name: str) -> list[float]:
+def _integer(value, path, name: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _number(value, path, name)
+    if not number.is_integer():
+        _config_error(path, f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _number_list(value, path, name: str, parse=_number) -> list:
     if not isinstance(value, list) or not value:
         _config_error(path, f"{name} must be a nonempty list")
-    return [_number(v, path, f"{name}[{i}]") for i, v in enumerate(value)]
+    return [parse(v, path, f"{name}[{i}]") for i, v in enumerate(value)]
 
 
 def _prior_spec_from_mapping(entry, path, index: int) -> PriorSpec:
@@ -260,10 +263,12 @@ def load_study_config(path) -> StudyConfig:
     ``shape1``/``shape2``. Unknown keys are rejected so typos fail loudly.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
@@ -289,118 +294,85 @@ def load_study_config(path) -> StudyConfig:
         "q_values": _number_list(data["q_values"], path, "q_values"),
         "w_t_values": _number_list(data["w_t_values"], path, "w_t_values"),
         "w_r": _number(data["w_r"], path, "w_r"),
-        "marker_counts": [int(_number(v, path, f"marker_counts[{i}]"))
-                          for i, v in enumerate(_number_list(data["marker_counts"], path, "marker_counts"))],
-        "replicates": int(_number(data["replicates"], path, "replicates")),
+        "marker_counts": _number_list(data["marker_counts"], path, "marker_counts", _integer),
+        "replicates": _integer(data["replicates"], path, "replicates"),
         "methods": tuple(methods),
         "priors": tuple(priors),
     }
-    for key in ("master_seed", "mc_samples"):
+    for key, parse in (("master_seed", _integer), ("mc_samples", _integer), ("quad_tol", _number),
+                       ("profile_lower", _number), ("profile_upper", _number)):
         if key in data:
-            kwargs[key] = int(_number(data[key], path, key))
-    for key in ("quad_tol", "profile_lower", "profile_upper"):
-        if key in data:
-            kwargs[key] = _number(data[key], path, key)
+            kwargs[key] = parse(data[key], path, key)
     try:
         return StudyConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         _config_error(path, f"invalid config: {exc}")
 
 
-_RECORD_COLUMNS = [f.name for f in fields(StudyRecord)]
-_SUMMARY_COLUMNS = [f.name for f in fields(SummaryRow)]
-_ECE_COLUMNS = [f.name for f in fields(EceRow)]
-
-
 def _cell_text(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return fmt_float(value)
     return str(value)
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_csv(path, cls, rows) -> None:
+    """Instances of the dataclass ``cls``, one column per field in order."""
+    header = [f.name for f in fields(cls)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_cell_text(v) for v in row])
+            writer.writerow([_cell_text(getattr(row, name)) for name in header])
 
 
-def write_records_csv(records, path) -> None:
-    """One row per study record; floats exact, absent fields empty."""
-    _write_csv(path, _RECORD_COLUMNS,
-               ([getattr(rec, col) for col in _RECORD_COLUMNS] for rec in records))
+def _cell_parser(tp):
+    """Text to value for a field of type ``str``, ``int``, ``float`` or
+    ``X | None``, where an empty cell is ``None``."""
+    args = typing.get_args(tp)
+    if type(None) in args:
+        inner = _cell_parser(next(a for a in args if a is not type(None)))
+        return lambda text: inner(text) if text else None
+    return tp
 
 
-def read_records_csv(path) -> list[StudyRecord]:
+def _read_csv(path, cls, kind: str) -> list:
+    """Rows written by ``_write_csv`` as ``cls`` instances, cells cast by field type."""
+    header = [f.name for f in fields(cls)]
+    types = typing.get_type_hints(cls)
+    parsers = [_cell_parser(types[name]) for name in header]
     rows = _read_rows(path)
-    if not rows or rows[0][1] != _RECORD_COLUMNS:
+    if not rows or rows[0][1] != header:
         where = rows[0][0] if rows else 1
-        raise ParseError(f"{path}:{where}: expected record header "
-                         f"{','.join(_RECORD_COLUMNS)!r}")
-    records = []
-    for line, row in rows[1:]:
-        if len(row) != len(_RECORD_COLUMNS):
-            _fail(path, line, f"expected {len(_RECORD_COLUMNS)} columns, got {len(row)}")
-        vals = dict(zip(_RECORD_COLUMNS, row))
-        try:
-            records.append(StudyRecord(
-                hypothesis=vals["hypothesis"],
-                method=vals["method"],
-                prior_id=vals["prior_id"] or None,
-                m=int(vals["m"]),
-                q=float(vals["q"]),
-                w_t_true=float(vals["w_t_true"]),
-                replicate=int(vals["replicate"]),
-                woe=float(vals["woe"]),
-                w_hat_h1=float(vals["w_hat_h1"]) if vals["w_hat_h1"] else None,
-                w_hat_h2=float(vals["w_hat_h2"]) if vals["w_hat_h2"] else None,
-            ))
-        except ValueError as exc:
-            _fail(path, line, str(exc))
-    return records
-
-
-def write_summary_csv(rows, path) -> None:
-    _write_csv(path, _SUMMARY_COLUMNS,
-               ([getattr(row, col) for col in _SUMMARY_COLUMNS] for row in rows))
-
-
-def read_summary_csv(path) -> list[SummaryRow]:
-    rows = _read_rows(path)
-    if not rows or rows[0][1] != _SUMMARY_COLUMNS:
-        where = rows[0][0] if rows else 1
-        raise ParseError(f"{path}:{where}: expected summary header "
-                         f"{','.join(_SUMMARY_COLUMNS)!r}")
+        raise ParseError(f"{path}:{where}: expected {kind} header {','.join(header)!r}")
     out = []
     for line, row in rows[1:]:
-        if len(row) != len(_SUMMARY_COLUMNS):
-            _fail(path, line, f"expected {len(_SUMMARY_COLUMNS)} columns, got {len(row)}")
-        vals = dict(zip(_SUMMARY_COLUMNS, row))
+        if len(row) != len(header):
+            _fail(path, line, f"expected {len(header)} columns, got {len(row)}")
         try:
-            out.append(SummaryRow(
-                hypothesis=vals["hypothesis"],
-                method=vals["method"],
-                prior_id=vals["prior_id"] or None,
-                m=int(vals["m"]),
-                q=float(vals["q"]),
-                w_t_true=float(vals["w_t_true"]),
-                n=int(vals["n"]),
-                mean_woe=float(vals["mean_woe"]),
-                min_woe=float(vals["min_woe"]),
-                max_woe=float(vals["max_woe"]),
-                n_woe_positive=int(vals["n_woe_positive"]),
-                n_woe_negative=int(vals["n_woe_negative"]),
-            ))
+            out.append(cls(*(parse(text) for parse, text in zip(parsers, row))))
         except ValueError as exc:
             _fail(path, line, str(exc))
     return out
 
 
+def write_records_csv(records, path) -> None:
+    """One row per study record; floats exact, absent fields empty."""
+    _write_csv(path, StudyRecord, records)
+
+
+def read_records_csv(path) -> list[StudyRecord]:
+    return _read_csv(path, StudyRecord, "record")
+
+
+def write_summary_csv(rows, path) -> None:
+    _write_csv(path, SummaryRow, rows)
+
+
+def read_summary_csv(path) -> list[SummaryRow]:
+    return _read_csv(path, SummaryRow, "summary")
+
+
 def write_ece_csv(rows, path) -> None:
-    _write_csv(path, _ECE_COLUMNS,
-               ([getattr(row, col) for col in _ECE_COLUMNS] for row in rows))
+    _write_csv(path, EceRow, rows)

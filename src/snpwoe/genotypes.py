@@ -1,10 +1,11 @@
-"""Genotype coding, population genotype priors, and the genotyping error channel.
+"""Genotype dosages, population genotype priors, and the genotyping error channel.
 
-Genotypes at a biallelic SNP are coded as the number of alternate alleles
-carried, so the sample space is {0, 1, 2}. A genotyping pipeline observes a
-noisy copy of the true genotype: each of the two allele calls flips
-independently with a sample-specific probability ``w``. That choice fixes a
-3x3 row-stochastic observation matrix which everything downstream shares.
+A genotype at a biallelic SNP is its dosage, the number of alternate
+alleles carried, so the sample space is {0, 1, 2}. A genotyping pipeline
+observes a noisy copy of the true genotype: each of the two allele calls
+flips independently with a sample-specific probability ``w``. That choice
+fixes a 3x3 row-stochastic observation matrix which everything downstream
+shares.
 """
 
 from __future__ import annotations
@@ -15,39 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Genotype",
     "GenotypePriors",
     "hwe_priors",
+    "validate_dosage",
     "validate_error_prob",
     "channel_matrix",
 ]
 
-DOSAGES = (0, 1, 2)
-
 # Tolerance on sum-to-one checks for probability vectors built from floats.
 _SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Genotype:
-    """Count of alternate alleles at one biallelic SNP.
-
-    Only the dosages 0, 1 and 2 exist; anything else is rejected at
-    construction time so invalid genotypes cannot circulate.
-    """
-
-    dosage: int
-
-    def __post_init__(self) -> None:
-        d = self.dosage
-        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-            raise TypeError(f"genotype dosage must be an integer, got {d!r}")
-        if d not in DOSAGES:
-            raise ValueError(f"genotype dosage must be 0, 1 or 2, got {d!r}")
-        object.__setattr__(self, "dosage", int(d))
-
-    def __index__(self) -> int:
-        return self.dosage
 
 
 @dataclass(frozen=True)
@@ -55,8 +32,7 @@ class GenotypePriors:
     """Population probabilities of the three dosages, in order (0, 1, 2).
 
     Entries must lie in [0, 1] and sum to one within a small float
-    tolerance. Instances are immutable and hashable so they can key caches
-    and group markers that share a prior.
+    tolerance. Instances are immutable and hashable.
     """
 
     p0: float
@@ -64,19 +40,19 @@ class GenotypePriors:
     p2: float
 
     def __post_init__(self) -> None:
-        probs = []
-        for name in ("p0", "p1", "p2"):
-            p = float(getattr(self, name))
-            if math.isnan(p) or not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+        probs = prior_array([(self.p0, self.p1, self.p2)])[0].tolist()
+        for name, p in zip(("p0", "p1", "p2"), probs):
             object.__setattr__(self, name, p)
-            probs.append(p)
-        total = math.fsum(probs)
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"genotype priors must sum to 1, got {total!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p0, self.p1, self.p2])
+
+
+def hwe_prior_array(q) -> np.ndarray:
+    """Hardy-Weinberg genotype priors of allele frequencies ``q`` (unchecked),
+    as an array of shape ``np.shape(q) + (3,)`` over dosages (0, 1, 2)."""
+    q = np.asarray(q, dtype=float)
+    return np.stack([q * q, 2.0 * q * (1.0 - q), (1.0 - q) * (1.0 - q)], axis=-1)
 
 
 def hwe_priors(q: float) -> GenotypePriors:
@@ -92,7 +68,38 @@ def hwe_priors(q: float) -> GenotypePriors:
     q = float(q)
     if math.isnan(q) or not 0.0 < q <= 1.0:
         raise ValueError(f"allele frequency q must lie in (0, 1], got {q!r}")
-    return GenotypePriors(q * q, 2.0 * q * (1.0 - q), (1.0 - q) * (1.0 - q))
+    return GenotypePriors(*hwe_prior_array(q).tolist())
+
+
+def validate_dosage(d, name: str = "genotype dosage"):
+    """Check that ``d`` holds genotype dosages, integers (not bools) 0, 1
+    or 2. Returns a scalar as a plain int, an array as an int64 array."""
+    x = np.asarray(d)
+    if not np.issubdtype(x.dtype, np.integer):
+        raise TypeError(f"{name} must be an integer, got {d if x.ndim == 0 else x.dtype!r}")
+    bad = (x < 0) | (x > 2)
+    if bad.any():
+        raise ValueError(f"{name} must be 0, 1 or 2, got {x[bad][0].item()!r}")
+    return int(x) if x.ndim == 0 else x.astype(np.int64)
+
+
+def prior_array(priors) -> np.ndarray:
+    """``priors`` as a float array of shape (m, 3), each row checked to hold
+    probabilities of the dosages 0, 1, 2 that sum to one."""
+    priors = np.array(priors, dtype=float)
+    if priors.ndim != 2 or priors.shape[1] != 3:
+        raise ValueError(f"priors must have shape (m, 3), got {priors.shape}")
+    bad = np.isnan(priors) | (priors < 0.0) | (priors > 1.0)
+    if bad.any():
+        j, k = np.argwhere(bad)[0]
+        raise ValueError(f"p{k} must lie in [0, 1], got {priors[j, k].item()!r}")
+    # A float sum of three entries in [0, 1] is within 1e-15 of the exact
+    # sum, so only rows near the tolerance need the exact one.
+    near = np.abs(priors.sum(axis=1) - 1.0) > 0.5 * _SUM_TOL
+    for total in map(math.fsum, priors[near].tolist()):
+        if abs(total - 1.0) > _SUM_TOL:
+            raise ValueError(f"genotype priors must sum to 1, got {total!r}")
+    return priors
 
 
 def validate_error_prob(w: float, name: str = "w") -> float:

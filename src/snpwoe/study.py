@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import PairCountTable, estimate_w_mle
-from .evidence import CaseData, MarkerObservation
+from .evidence import CaseData
 from .genotypes import GenotypePriors, hwe_priors, validate_error_prob
 from .scaled_beta import ScaledBeta
 from .unknown_w import (
@@ -266,10 +266,7 @@ def simulate_case(hypothesis: str, m: int, priors: GenotypePriors, w_t: float,
     z_r = z_t if hypothesis == "H1" else _draw_dosages(priors, m, rng)
     x_t = _observe(z_t, w_t, rng)
     x_r = _observe(z_r, w_r, rng)
-    markers = tuple(
-        MarkerObservation(int(a), int(b), priors) for a, b in zip(x_t, x_r)
-    )
-    return CaseData(markers)
+    return CaseData.from_arrays(x_t, x_r, np.broadcast_to(priors.as_array(), (m, 3)))
 
 
 def simulate_overdispersed_table(n_sites: int, prior: ScaledBeta,

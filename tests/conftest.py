@@ -28,6 +28,18 @@ def random_case(rng: np.random.Generator, m: int | None = None,
     return CaseData(markers)
 
 
+def same_case(a: CaseData, b: CaseData) -> bool:
+    """Whether two cases hold the same columns and ids."""
+    return a.ids == b.ids and all(np.array_equal(getattr(a, name), getattr(b, name))
+                                  for name in ("x_t", "x_r", "priors"))
+
+
+def markers(case: CaseData) -> list[tuple[int, int, GenotypePriors]]:
+    """Each marker of ``case`` as (x_t, x_r, priors), read from its columns."""
+    return [(a, b, GenotypePriors(*p)) for a, b, p in
+            zip(case.x_t.tolist(), case.x_r.tolist(), case.priors.tolist())]
+
+
 def table_frequencies(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Empirical 3x3 pair frequencies from two dosage vectors."""
     counts = np.zeros((3, 3))

@@ -3,7 +3,8 @@ kernel replaced.
 
 Each function contracts the spec-level ``joint_table_h1``/``joint_table_h2``
 tables separately per group of markers sharing a priors object, exactly as
-the library did before the kernel. The differential tests in
+the library did before the kernel; it reads a case as marker records
+rebuilt from the case's columns. The differential tests in
 ``test_kernel_oracle.py`` hold the kernel to these results. Do not
 optimise this file; its value is that it stays the old arithmetic.
 """
@@ -19,6 +20,7 @@ from snpwoe.estimation import WEstimate
 from snpwoe.evidence import (
     CaseData,
     DegenerateCaseError,
+    MarkerObservation,
     joint_table_h1,
     joint_table_h2,
     trace_marginal,
@@ -32,14 +34,20 @@ _W_FLOOR = 1e-120
 _W_UPPER = 0.5 - 1e-12
 
 
+def markers(case: CaseData) -> list[MarkerObservation]:
+    """The case's markers as records, read from its columns."""
+    return [MarkerObservation(a, b, GenotypePriors(*p)) for a, b, p in
+            zip(case.x_t.tolist(), case.x_r.tolist(), case.priors.tolist())]
+
+
 def group_counts(case: CaseData) -> list[tuple[GenotypePriors, np.ndarray]]:
     groups: dict[GenotypePriors, np.ndarray] = {}
-    for mk in case.markers:
+    for mk in markers(case):
         tbl = groups.get(mk.priors)
         if tbl is None:
             tbl = np.zeros((3, 3))
             groups[mk.priors] = tbl
-        tbl[mk.x_t.dosage, mk.x_r.dosage] += 1.0
+        tbl[mk.x_t, mk.x_r] += 1.0
     return list(groups.items())
 
 
@@ -70,7 +78,7 @@ def log10_lik_h2(case, w_t, w_r):
 
 def check_h2_support(case, w_t, w_r):
     cache = {}
-    for idx, mk in enumerate(case.markers):
+    for idx, mk in enumerate(markers(case)):
         entry = cache.get(mk.priors)
         if entry is None:
             mr = trace_marginal(mk.priors, w_r)
@@ -78,10 +86,10 @@ def check_h2_support(case, w_t, w_r):
             entry = (mr, mt)
             cache[mk.priors] = entry
         mr, mt = entry
-        if mr[mk.x_r.dosage] == 0.0 or (mt is not None and mt[mk.x_t.dosage] == 0.0):
+        if mr[mk.x_r] == 0.0 or (mt is not None and mt[mk.x_t] == 0.0):
             raise DegenerateCaseError(
                 f"marker {case.marker_label(idx)}: observed pair "
-                f"({mk.x_t.dosage}, {mk.x_r.dosage}) has probability zero under H2"
+                f"({mk.x_t}, {mk.x_r}) has probability zero under H2"
             )
 
 
@@ -103,7 +111,7 @@ def per_marker_log10_lr(case, w_t, w_r):
     check_h2_support(case, w_t, w_r)
     cache = {}
     out = np.empty(case.m)
-    for idx, mk in enumerate(case.markers):
+    for idx, mk in enumerate(markers(case)):
         tbl = cache.get(mk.priors)
         if tbl is None:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -111,20 +119,20 @@ def per_marker_log10_lr(case, w_t, w_r):
                     joint_table_h2(mk.priors, w_t, w_r)
                 )
             cache[mk.priors] = tbl
-        out[idx] = tbl[mk.x_t.dosage, mk.x_r.dosage]
+        out[idx] = tbl[mk.x_t, mk.x_r]
     return out
 
 
 def _per_marker_log10_matrix(case, draws, w_r, table_fn):
     cache = {}
     cols = []
-    for mk in case.markers:
+    for mk in markers(case):
         logs = cache.get(mk.priors)
         if logs is None:
             with np.errstate(divide="ignore"):
                 logs = np.log10(table_fn(mk.priors, draws, w_r))
             cache[mk.priors] = logs
-        cols.append(logs[:, mk.x_t.dosage, mk.x_r.dosage])
+        cols.append(logs[:, mk.x_t, mk.x_r])
     return np.column_stack(cols)
 
 
@@ -155,8 +163,8 @@ def woe_integrate_quad(case, prior, w_r, tol=1e-8, prior_h2=None):
     check_h2_support(case, None, w_r)
     p_h2 = prior if prior_h2 is None else prior_h2
     labels = {}
-    for idx, mk in enumerate(case.markers):
-        labels.setdefault((mk.priors, mk.x_t.dosage, mk.x_r.dosage),
+    for idx, mk in enumerate(markers(case)):
+        labels.setdefault((mk.priors, mk.x_t, mk.x_r),
                           case.marker_label(idx))
     total_parts = []
     failures = []
@@ -240,5 +248,5 @@ def estimate_w_mle_per_marker(observations):
         if tbl is None:
             tbl = np.zeros((3, 3))
             groups[mk.priors] = tbl
-        tbl[mk.x_t.dosage, mk.x_r.dosage] += 1.0
+        tbl[mk.x_t, mk.x_r] += 1.0
     return _maximize_groups(list(groups.items()))

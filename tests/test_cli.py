@@ -188,6 +188,35 @@ class TestWoeCommand:
         assert "rs1" in capsys.readouterr().err
 
 
+class TestMalformedInput:
+    """Unreadable input is a data error (exit 3) whose message starts with
+    the file's path; a bad flag value is a usage error (exit 2)."""
+
+    def test_non_utf8_case_file(self, tmp_path, capsys):
+        p = tmp_path / "case.csv"
+        p.write_bytes(CASE_TEXT.encode() + b"rs6,0,0,0.5\xff\n")
+        assert main(["woe", str(p), "--w-r", "1e-4", "--w-t", "1e-3"]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {p}: not UTF-8")
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        p = tmp_path / "study.yaml"
+        p.write_bytes(CONFIG_TEXT.encode() + b"# \xe9t\xe9\n")
+        records = tmp_path / "records.csv"
+        assert main(["simulate", str(p), "--records", str(records)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {p}: not UTF-8")
+
+    def test_non_ascii_digit_count(self, tmp_path, capsys):
+        p = tmp_path / "pairs.csv"
+        p.write_text("q,0.9\n,0,1,2\n0,10,0,0\n1,0,\u00b2,0\n2,0,0,10\n", encoding="utf-8")
+        assert main(["estimate", str(p)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {p}:4: count for pair (1, 1)")
+
+    def test_negative_seed(self, case_path, capsys):
+        assert main(["woe", str(case_path), "--w-r", "1e-4", "--prior-mean", "1e-3",
+                     "--prior-var", "1e-8", "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: --seed must be nonnegative")
+
+
 class TestEstimateCommand:
     def test_json_output(self, pair_path, capsys):
         payload = run_json(capsys, ["estimate", str(pair_path), "--json"])

@@ -48,6 +48,13 @@ class TestPairProb:
                           for a in range(3) for b in range(3))
         assert abs(total - 1.0) <= 1e-12
 
+    def test_rejects_bad_dosages(self):
+        # a negative dosage must not index the table from its far end
+        with pytest.raises(ValueError, match="0, 1 or 2"):
+            pair_prob_same_source(-1, 0, PRIORS75, 0.01)
+        with pytest.raises(TypeError):
+            pair_prob_same_source(1, 1.0, PRIORS75, 0.01)
+
 
 class TestPairCountTable:
     def test_accepts_integer_valued_floats(self):

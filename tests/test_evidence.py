@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_case, table_frequencies
+from conftest import markers, random_case, same_case, table_frequencies
 from snpwoe.evidence import (
     CaseData,
     DegenerateCaseError,
@@ -34,8 +34,8 @@ dosages = st.integers(min_value=0, max_value=2)
 
 class TestMarkerAndCaseTypes:
     def test_marker_coerces_ints(self):
-        mk = MarkerObservation(0, 2, hwe_priors(0.75))
-        assert mk.x_t.dosage == 0 and mk.x_r.dosage == 2
+        mk = MarkerObservation(0, np.int64(2), hwe_priors(0.75))
+        assert (mk.x_t, mk.x_r) == (0, 2) and type(mk.x_r) is int
 
     def test_marker_rejects_bad(self):
         with pytest.raises(ValueError):
@@ -46,6 +46,59 @@ class TestMarkerAndCaseTypes:
     def test_case_nonempty(self):
         with pytest.raises(ValueError):
             CaseData(())
+
+    def test_from_arrays_matches_records(self):
+        priors = [hwe_priors(0.75), hwe_priors(0.9)]
+        records = CaseData([MarkerObservation(0, 1, priors[0]),
+                            MarkerObservation(2, 2, priors[1])], ids=("a", "b"))
+        arrays = CaseData.from_arrays(np.array([0, 2], dtype=np.int8), [1, 2],
+                                      [p.as_array() for p in priors], ids=["a", "b"])
+        assert same_case(arrays, records) and arrays.ids == ("a", "b") and arrays.m == 2
+        assert arrays.x_t.dtype == np.int64 and arrays.priors.shape == (2, 3)
+
+    def test_prior_layout_does_not_matter(self):
+        row = hwe_priors(0.75).as_array()
+        x_t, x_r = [0, 1, 0, 2, 0], [0, 1, 0, 2, 1]
+        want = CaseData([MarkerObservation(a, b, hwe_priors(0.75)) for a, b in zip(x_t, x_r)])
+        for priors in (np.broadcast_to(row, (5, 3)), np.asfortranarray(np.tile(row, (5, 1))),
+                       np.tile(row, (5, 2))[:, ::2]):
+            kernel = CaseData.from_arrays(x_t, x_r, priors).kernel(1e-4)
+            assert kernel.counts.tolist() == want.kernel(1e-4).counts.tolist()
+            assert kernel.first[kernel.inverse].tolist() == [0, 1, 0, 3, 4]
+
+    def test_columns_are_read_only_copies(self):
+        x_t = np.array([0, 1])
+        case = CaseData.from_arrays(x_t, [0, 1], [hwe_priors(0.5).as_array()] * 2)
+        x_t[0] = 2
+        assert case.x_t.tolist() == [0, 1]
+        for column in (case.x_t, case.x_r, case.priors):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_from_arrays_rejects_bad_columns(self):
+        priors = [hwe_priors(0.75).as_array()] * 2
+        with pytest.raises(TypeError, match="x_t must be an integer"):
+            CaseData.from_arrays(np.array([0.0, 1.0]), [0, 1], priors)
+        with pytest.raises(TypeError, match="x_r must be an integer"):
+            CaseData.from_arrays([0, 1], np.array([True, False]), priors)
+        with pytest.raises(ValueError, match="must be 0, 1 or 2, got 3"):
+            CaseData.from_arrays([0, 3], [0, 1], priors)
+        with pytest.raises(ValueError, match="must sum to 1"):
+            CaseData.from_arrays([0, 1], [0, 1], [priors[0], [0.5, 0.4, 0.2]])
+        with pytest.raises(ValueError, match=r"p1 must lie in \[0, 1\]"):
+            CaseData.from_arrays([0, 1], [0, 1], [priors[0], [0.5, -0.1, 0.6]])
+        with pytest.raises(ValueError, match=r"shape \(2,\) to match 2 rows"):
+            CaseData.from_arrays([0, 1], [0], priors)
+        with pytest.raises(ValueError, match=r"shape \(1,\) to match 1 rows"):
+            CaseData.from_arrays([0, 1], [0, 1], priors[:1])
+        with pytest.raises(ValueError, match=r"got \(1, 2\)"):
+            CaseData.from_arrays([[0, 1]], [0, 1], priors)
+        with pytest.raises(ValueError, match=r"shape \(m, 3\)"):
+            CaseData.from_arrays([0, 1], [0, 1], [[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="1 marker ids for 2 markers"):
+            CaseData.from_arrays([0, 1], [0, 1], priors, ids=["a"])
+        with pytest.raises(ValueError, match="at least one marker"):
+            CaseData.from_arrays([], [], np.empty((0, 3)))
 
     def test_case_ids(self):
         mk = MarkerObservation(0, 0, hwe_priors(0.75))
@@ -196,9 +249,9 @@ class TestWoeKnown:
             w_r = float(rng.uniform(1e-4, 0.45))
             num = Fraction(1)
             den = Fraction(1)
-            for mk in case.markers:
-                num *= Fraction(joint_prob_h1(mk.x_t, mk.x_r, mk.priors, w_t, w_r))
-                den *= Fraction(joint_prob_h2(mk.x_t, mk.x_r, mk.priors, w_t, w_r))
+            for a, b, priors in markers(case):
+                num *= Fraction(joint_prob_h1(a, b, priors, w_t, w_r))
+                den *= Fraction(joint_prob_h2(a, b, priors, w_t, w_r))
             exact = (math.log10(num.numerator) - math.log10(num.denominator)
                      - math.log10(den.numerator) + math.log10(den.denominator))
             got = woe_known(case, w_t, w_r)
@@ -214,19 +267,18 @@ class TestWoeKnown:
 
 
 class TestCaseKernel:
-    def test_rows_keep_first_appearance_order(self):
+    def test_rows_group_markers_by_value(self):
         pa, pb = hwe_priors(0.75), hwe_priors(0.9)
-        case = CaseData((
-            MarkerObservation(0, 0, pa),
-            MarkerObservation(1, 1, pb),
-            MarkerObservation(0, 0, hwe_priors(0.75)),
-            MarkerObservation(0, 1, pa),
-        ))
+        case = CaseData.from_arrays(
+            [0, 1, 0, 0, 2, 2], [0, 1, 0, 1, 2, 2],
+            [pa.as_array(), pb.as_array(), hwe_priors(0.75).as_array(), pa.as_array(),
+             [0.0, 0.0, 1.0], [-0.0, 0.0, 1.0]])
         kernel = case.kernel(1e-4)
-        assert kernel.counts.tolist() == [2.0, 1.0, 1.0]
-        assert kernel.first.tolist() == [0, 1, 3]
-        assert kernel.inverse.tolist() == [0, 1, 0, 2]
-        assert kernel.x_t.tolist() == [0, 1, 0] and kernel.x_r.tolist() == [0, 1, 1]
+        assert sorted(zip(kernel.first.tolist(), kernel.counts.tolist())) == [
+            (0, 2.0), (1, 1.0), (3, 1.0), (4, 2.0)]
+        assert kernel.first[kernel.inverse].tolist() == [0, 1, 0, 3, 4, 4]
+        assert kernel.x_t[kernel.inverse].tolist() == case.x_t.tolist()
+        assert kernel.x_r[kernel.inverse].tolist() == case.x_r.tolist()
 
     def test_built_once_per_w_r(self):
         case = random_case(np.random.default_rng(3), m=10, n_priors=3)
@@ -252,12 +304,12 @@ class TestCaseLogLikelihoods:
         case = random_case(rng, m=12, n_priors=2)
         w_t, w_r = 0.02, 1e-3
         direct_h1 = sum(
-            math.log10(joint_prob_h1(mk.x_t, mk.x_r, mk.priors, w_t, w_r))
-            for mk in case.markers
+            math.log10(joint_prob_h1(a, b, priors, w_t, w_r))
+            for a, b, priors in markers(case)
         )
         direct_h2 = sum(
-            math.log10(joint_prob_h2(mk.x_t, mk.x_r, mk.priors, w_t, w_r))
-            for mk in case.markers
+            math.log10(joint_prob_h2(a, b, priors, w_t, w_r))
+            for a, b, priors in markers(case)
         )
         assert math.isclose(log10_lik_h1(case, w_t, w_r), direct_h1, rel_tol=1e-12)
         assert math.isclose(log10_lik_h2(case, w_t, w_r), direct_h2, rel_tol=1e-12)

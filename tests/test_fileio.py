@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,11 +56,13 @@ class TestParseCaseFile:
         case = parse_case_file(p)
         assert case.m == 3
         assert case.ids == ("rs1", "rs2", "rs3")
-        assert case.markers[1].x_t.dosage == 1
-        assert case.markers[0].priors == hwe_priors(0.75)
-        # shared q rows reuse one priors object, so markers group together
-        assert case.markers[0].priors is case.markers[2].priors
-        assert len({id(mk.priors) for mk in case.markers}) == 2
+        assert case.x_t.tolist() == [0, 1, 2] and case.x_r.tolist() == [0, 2, 2]
+        p75, p90 = hwe_priors(0.75), hwe_priors(0.9)
+        # each row is bit-identical to the scalar HWE priors of its q
+        assert case.priors.tolist() == [[p75.p0, p75.p1, p75.p2],
+                                        [p90.p0, p90.p1, p90.p2],
+                                        [p75.p0, p75.p1, p75.p2]]
+        assert len(np.unique(case.priors, axis=0)) == 2
 
     def test_explicit_priors_form_renormalizes(self, tmp_path):
         p = tmp_path / "case.csv"
@@ -68,9 +71,9 @@ class TestParseCaseFile:
             f"rs1,0,0,{0.5 + 2e-10},0.3,0.2\n"
         )
         case = parse_case_file(p)
-        pr = case.markers[0].priors
-        assert math.isclose(pr.p0 + pr.p1 + pr.p2, 1.0, abs_tol=1e-12)
-        assert math.isclose(pr.p0, 0.5, abs_tol=1e-9)
+        p0, p1, p2 = case.priors[0].tolist()
+        assert math.isclose(p0 + p1 + p2, 1.0, abs_tol=1e-12)
+        assert math.isclose(p0, 0.5, abs_tol=1e-9)
 
     def test_whitespace_and_blank_lines(self, tmp_path):
         p = tmp_path / "case.csv"
@@ -249,6 +252,21 @@ methods: [true-w]
             load_study_config(tmp_path / "missing.yaml")
 
 
+@pytest.mark.parametrize("old, new, name", [
+    ("marker_counts: [10]", "marker_counts: [10, 50.7]", "marker_counts[1]"),
+    ("replicates: 2", "replicates: 2.9", "replicates"),
+    ("replicates: 2", "replicates: 2\nmaster_seed: 1.5", "master_seed"),
+    ("replicates: 2", "replicates: 2\nmc_samples: 999.5", "mc_samples"),
+    ("replicates: 2", "replicates: .inf", "replicates"),
+])
+def test_integer_keys_reject_fractions(tmp_path, old, new, name):
+    p = tmp_path / "study.yaml"
+    p.write_text(("q_values: [0.75]\nw_t_values: [1e-3]\nw_r: 1e-4\n"
+                  "marker_counts: [10]\nreplicates: 2\nmethods: [true-w]\n").replace(old, new))
+    with pytest.raises(ParseError, match=rf"^{p}: {re.escape(name)} must be an integer, got "):
+        load_study_config(p)
+
+
 @pytest.fixture(scope="module")
 def small_records():
     cfg = StudyConfig(
@@ -263,9 +281,14 @@ def small_records():
 
 class TestRecordsCsv:
     def test_round_trip(self, small_records, tmp_path):
+        excluded = StudyRecord(hypothesis="H2", method="profile", prior_id=None,
+                               m=3, q=0.75, w_t_true=0.0, replicate=0,
+                               woe=-math.inf, w_hat_h1=0.0, w_hat_h2=1e-3)
+        records = [*small_records, excluded]
+        assert any(rec.w_hat_h1 is None for rec in records)
         path = tmp_path / "records.csv"
-        write_records_csv(small_records, path)
-        assert read_records_csv(path) == small_records
+        write_records_csv(records, path)
+        assert read_records_csv(path) == records
 
     def test_minus_inf_round_trip(self, tmp_path):
         rec = StudyRecord(hypothesis="H2", method="true-w", prior_id=None,
@@ -299,7 +322,10 @@ class TestRecordsCsv:
 
 class TestSummaryCsv:
     def test_round_trip(self, small_records, tmp_path):
-        rows = summarize_records(small_records)
+        excluded = StudyRecord(hypothesis="H2", method="true-w", prior_id=None,
+                               m=3, q=0.75, w_t_true=0.0, replicate=0, woe=-math.inf)
+        rows = summarize_records([*small_records, excluded])
+        assert rows[-1].prior_id is None and rows[-1].min_woe == -math.inf
         path = tmp_path / "summary.csv"
         write_summary_csv(rows, path)
         assert read_summary_csv(path) == rows

@@ -1,4 +1,4 @@
-"""Genotype coding, HWE priors, and the error channel."""
+"""Genotype dosages, HWE priors, and the error channel."""
 
 import math
 
@@ -7,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from snpwoe.evidence import MarkerObservation
 from snpwoe.genotypes import (
     CHANNEL_COEFFS,
-    Genotype,
     GenotypePriors,
     channel_matrix,
+    hwe_prior_array,
     hwe_priors,
+    validate_dosage,
     validate_error_prob,
 )
 
@@ -21,24 +23,41 @@ error_probs = st.floats(min_value=0.0, max_value=0.5, exclude_max=True,
 frequencies = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
 
 
+def marker_x_t(d):
+    return MarkerObservation(d, 0, hwe_priors(0.5)).x_t
+
+
+def marker_x_r(d):
+    return MarkerObservation(0, d, hwe_priors(0.5)).x_r
+
+
 class TestGenotype:
+    """Genotype dosage checks, through the validator and through both
+    dosages of a marker record."""
+
+    checks = (validate_dosage, marker_x_t, marker_x_r)
+
     def test_valid_dosages(self):
-        for d in (0, 1, 2):
-            assert Genotype(d).dosage == d
+        for check in self.checks:
+            for d in (0, 1, 2):
+                assert check(d) == d
 
     def test_rejects_other_integers(self):
-        for d in (-1, 3, 7):
-            with pytest.raises(ValueError):
-                Genotype(d)
+        for check in self.checks:
+            for d in (-1, 3, 7):
+                with pytest.raises(ValueError, match="must be 0, 1 or 2"):
+                    check(d)
 
     def test_rejects_non_integers(self):
-        for bad in (1.0, "1", None, True):
-            with pytest.raises((TypeError, ValueError)):
-                Genotype(bad)
+        for check in self.checks:
+            for bad in (1.0, "1", None, True):
+                with pytest.raises(TypeError, match="must be an integer"):
+                    check(bad)
 
     def test_numpy_integers_accepted(self):
-        g = Genotype(np.int64(2))
-        assert g.dosage == 2 and type(g.dosage) is int
+        for check in self.checks:
+            d = check(np.int64(2))
+            assert d == 2 and type(d) is int
 
 
 class TestGenotypePriors:
@@ -79,6 +98,13 @@ class TestHwePriors:
     def test_sums_to_one(self, q):
         p = hwe_priors(q)
         assert abs(p.p0 + p.p1 + p.p2 - 1.0) <= 1e-12
+
+    @given(q=st.lists(frequencies, min_size=1, max_size=20))
+    def test_array_rows_are_bit_identical(self, q):
+        for f, row in zip(q, hwe_prior_array(q).tolist()):
+            p = hwe_priors(f)
+            assert row == [p.p0, p.p1, p.p2]
+            assert row == [f * f, 2.0 * f * (1.0 - f), (1.0 - f) * (1.0 - f)]
 
 
 class TestValidateErrorProb:

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle_per_group as oracle
+from conftest import same_case
 from snpwoe.estimation import PairCountTable, estimate_w_mle, estimate_w_mle_per_marker
 from snpwoe.evidence import (
     CaseData,
@@ -81,11 +82,26 @@ def cases(draw, max_m=30):
     return CaseData(tuple(markers), tuple(f"rs{j}" for j in range(m)))
 
 
+@st.composite
+def columns(draw, max_m=30):
+    """A case's columns (x_t, x_r, priors objects, ids), markers sharing a
+    few priors or each with their own."""
+    pool = draw(st.lists(priors_st, min_size=1, max_size=4))
+    per_marker = draw(st.booleans())
+    m = draw(st.integers(1, max_m))
+    x_t = draw(st.lists(dosages, min_size=m, max_size=m))
+    x_r = draw(st.lists(dosages, min_size=m, max_size=m))
+    priors = [draw(priors_st) if per_marker else draw(st.sampled_from(pool))
+              for _ in range(m)]
+    return x_t, x_r, priors, [f"rs{j}" for j in range(m)]
+
+
 def outcome(fn, *args, **kwargs):
-    """The call's value, or the message of the DegenerateCaseError it raised."""
+    """The call's value, or the message of the DegenerateCaseError or
+    QuadratureError it raised."""
     try:
         return fn(*args, **kwargs), None
-    except DegenerateCaseError as exc:
+    except (DegenerateCaseError, QuadratureError) as exc:
         return None, str(exc)
 
 
@@ -234,6 +250,72 @@ class TestDuplicateMle:
     @given(case=cases(max_m=60))
     @settings(max_examples=60, deadline=None)
     def test_per_marker(self, case):
-        assert_same_estimate(estimate_w_mle_per_marker(case.markers),
-                             oracle.estimate_w_mle_per_marker(case.markers),
+        observations = oracle.markers(case)
+        assert_same_estimate(estimate_w_mle_per_marker(observations),
+                             oracle.estimate_w_mle_per_marker(observations),
                              oracle.group_counts(case))
+
+
+def both_forms(x_t, x_r, priors, ids):
+    """One case built from marker records and from its columns."""
+    records = CaseData([MarkerObservation(a, b, p) for a, b, p in zip(x_t, x_r, priors)], ids)
+    arrays = CaseData.from_arrays(np.array(x_t), np.array(x_r),
+                                  np.array([(p.p0, p.p1, p.p2) for p in priors]), ids)
+    return records, arrays
+
+
+def all_outcomes(case, w_t, w_r, seed):
+    """Every method's outcome on ``case`` as (value, error message or None);
+    the per-marker list comes last. No value is NaN, so outcomes compare
+    exactly with ``==``."""
+    prior = ScaledBeta.from_moments(1e-2, 1e-5)
+    ws = np.array([w_t, 0.01, 0.2])
+
+    def mc():
+        r = woe_integrate_mc(case, prior, w_r, np.random.default_rng(seed), n_samples=50)
+        return r.woe, r.mc_std_error
+
+    def profile():
+        r = woe_profile(case, w_r)
+        return r.woe, r.w_hat_h1, r.w_hat_h2
+
+    found = [
+        outcome(woe_known, case, w_t, w_r),
+        outcome(lambda: woe_plugin(case, w_r).woe),
+        outcome(lambda: (log10_lik_h1(case, ws, w_r).tolist(),
+                         log10_lik_h2(case, ws, w_r).tolist())),
+        outcome(mc),
+        outcome(profile),
+    ]
+    if case.m <= 6:
+        found.append(outcome(lambda: woe_integrate_quad(case, prior, max(w_r, 1e-6)).woe))
+    found.append(outcome(lambda: per_marker_log10_lr(case, w_t, w_r).tolist()))
+    return found
+
+
+class TestColumnarCase:
+    """A case from ``CaseData.from_arrays`` is the case built from marker
+    records, and no result depends on the marker order."""
+
+    @given(cols=columns(), w_t=error_probs, w_r=error_probs,
+           seed=st.integers(0, 2**32 - 1), order=st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_records_arrays_and_permutations_agree(self, cols, w_t, w_r, seed, order):
+        records, arrays = both_forms(*cols)
+        assert same_case(records, arrays)
+        want = all_outcomes(arrays, w_t, w_r, seed)
+        assert want == all_outcomes(records, w_t, w_r, seed)
+
+        perm = list(range(arrays.m))
+        order.shuffle(perm)
+        permuted_records, permuted = both_forms(*([col[j] for j in perm] for col in cols))
+        got = all_outcomes(permuted, w_t, w_r, seed)
+        assert got == all_outcomes(permuted_records, w_t, w_r, seed)
+        # The first offending marker in case order moves with the order, so
+        # errors are compared by their presence alone.
+        assert [(v, e is None) for v, e in got[:-1]] == [(v, e is None) for v, e in want[:-1]]
+        (got_per_marker, got_error), (want_per_marker, want_error) = got[-1], want[-1]
+        assert (got_error is None) == (want_error is None)
+        if want_error is None:
+            assert got_per_marker == [want_per_marker[j] for j in perm]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import random_case
+from conftest import markers, random_case
 from snpwoe.evidence import (
     CaseData,
     DegenerateCaseError,
@@ -47,8 +47,7 @@ def oracle_quad_woe(case, prior, w_r, prior_h2=None):
     """Direct w-space integral of the expected per-marker log10 LR."""
     p_h2 = prior if prior_h2 is None else prior_h2
     total = 0.0
-    for mk in case.markers:
-        a, b, pr = mk.x_t.dosage, mk.x_r.dosage, mk.priors
+    for a, b, pr in markers(case):
 
         def f1(w):
             return prior.pdf(w) * math.log10(joint_prob_h1(a, b, pr, w, w_r))
@@ -135,8 +134,8 @@ class TestIntegrateQuad:
         prior = ScaledBeta.from_moments(5e-3, 1e-6)
         whole = woe_integrate_quad(case, prior, w_r=1e-4).woe
         parts = [
-            woe_integrate_quad(CaseData((mk,)), prior, w_r=1e-4).woe
-            for mk in case.markers
+            woe_integrate_quad(CaseData.from_arrays([a], [b], [p]), prior, w_r=1e-4).woe
+            for a, b, p in zip(case.x_t, case.x_r, case.priors)
         ]
         assert math.isclose(whole, math.fsum(parts), rel_tol=0, abs_tol=1e-9)
 
@@ -199,7 +198,7 @@ class TestIntegrateMc:
     def test_marker_order_invariance_is_bitwise(self):
         rng = np.random.default_rng(31)
         case = random_case(rng, m=20, n_priors=2)
-        flipped = CaseData(tuple(reversed(case.markers)))
+        flipped = CaseData.from_arrays(case.x_t[::-1], case.x_r[::-1], case.priors[::-1])
         prior = ScaledBeta.from_moments(1e-2, 1e-5)
         a = woe_integrate_mc(case, prior, 1e-4,
                              np.random.default_rng(np.random.SeedSequence(8)))
