@@ -2,7 +2,8 @@
 
 Subcommands: ``woe`` (evidence for one case file), ``estimate`` (error
 probability from duplicate pair counts), ``simulate`` (run a configured
-study grid), ``ece`` (calibration summary of a study's records).
+study grid), ``ece`` (per-cell calibration and sign errors of a study's
+records).
 
 Exit codes: 0 success, 2 usage error, 3 data or parse error, 4 numeric
 failure. Every command is deterministic given its inputs and flags;
@@ -118,10 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="suppress progress output on stderr")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_ece = sub.add_parser("ece",
-                           help="empirical cross-entropy per cell from study records")
+    p_ece = sub.add_parser("ece", help="empirical cross-entropy and sign errors "
+                                       "per cell from study records")
     p_ece.add_argument("records", help="records CSV produced by simulate")
-    p_ece.add_argument("--out", required=True, help="output CSV for ECE rows")
+    p_ece.add_argument("--out", required=True, help="output CSV for ECE and sign-error rows")
     p_ece.set_defaults(func=cmd_ece)
     return parser
 

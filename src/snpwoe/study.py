@@ -6,7 +6,8 @@ constant-``w`` model) and checks what a single-``w`` MLE recovers. The
 second simulates full cases under both hypotheses across a grid of marker
 counts, allele frequencies and true trace error probabilities, evaluates a
 chosen set of WoE methods on every case, and summarizes the resulting WoE
-distributions, calibration (empirical cross-entropy) and sign errors.
+distributions and, per cell, calibration (empirical cross-entropy) and
+sign errors.
 
 Reproducibility: every random quantity comes from a substream derived from
 ``master_seed`` and a structural key (cell index, replicate, stream role),
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +49,6 @@ __all__ = [
     "StudyConfig",
     "StudyRecord",
     "SummaryRow",
-    "SignErrorRow",
     "OverdispersionConfig",
     "OverdispersionRecord",
     "OverdispersionSummaryRow",
@@ -56,7 +57,6 @@ __all__ = [
     "run_woe_study",
     "run_overdispersion_study",
     "summarize_records",
-    "summarize_sign_errors",
     "summarize_overdispersion",
     "compute_ece",
     "EceRow",
@@ -103,6 +103,36 @@ def _as_tuple(values, caster, name):
     return out
 
 
+def _integer(value, name: str, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``; a bool or a fraction is
+    rejected, not truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
+def _set_shared_fields(config) -> None:
+    """Check and normalize the fields both study configs have: ``q_values``,
+    ``priors``, ``replicates`` and ``master_seed``."""
+    q_values = _as_tuple(config.q_values, float, "q_values")
+    for q in q_values:
+        if math.isnan(q) or not 0.0 < q <= 1.0:
+            raise ValueError(f"allele frequency q must lie in (0, 1], got {q!r}")
+    priors = tuple(config.priors)
+    for spec in priors:
+        if not isinstance(spec, PriorSpec):
+            raise TypeError(f"priors entries must be PriorSpec, got {type(spec).__name__}")
+    if len({spec.prior_id for spec in priors}) != len(priors):
+        raise ValueError("prior ids must be unique")
+    object.__setattr__(config, "q_values", q_values)
+    object.__setattr__(config, "priors", priors)
+    object.__setattr__(config, "replicates", _integer(config.replicates, "replicates", 1))
+    object.__setattr__(config, "master_seed", _integer(config.master_seed, "master_seed", 0))
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Grid and method settings for the WoE comparison study."""
@@ -121,22 +151,14 @@ class StudyConfig:
     profile_upper: float = 0.5
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q_values", _as_tuple(self.q_values, float, "q_values"))
-        for q in self.q_values:
-            if math.isnan(q) or not 0.0 < q <= 1.0:
-                raise ValueError(f"allele frequency q must lie in (0, 1], got {q!r}")
+        _set_shared_fields(self)
         object.__setattr__(
             self, "w_t_values",
             tuple(validate_error_prob(w, "w_t") for w in _as_tuple(self.w_t_values, float, "w_t_values")),
         )
         object.__setattr__(self, "w_r", validate_error_prob(self.w_r, "w_r"))
-        counts = _as_tuple(self.marker_counts, int, "marker_counts")
-        if any(m < 1 for m in counts):
-            raise ValueError("marker counts must be positive")
-        object.__setattr__(self, "marker_counts", counts)
-        if int(self.replicates) < 1:
-            raise ValueError(f"replicates must be at least 1, got {self.replicates!r}")
-        object.__setattr__(self, "replicates", int(self.replicates))
+        object.__setattr__(self, "marker_counts", _as_tuple(
+            self.marker_counts, lambda m: _integer(m, "marker count", 1), "marker_counts"))
         methods = _as_tuple(self.methods, str, "methods")
         unknown = [meth for meth in methods if meth not in STUDY_METHODS]
         if unknown:
@@ -144,21 +166,10 @@ class StudyConfig:
         if len(set(methods)) != len(methods):
             raise ValueError("methods must be distinct")
         object.__setattr__(self, "methods", methods)
-        priors = tuple(self.priors)
-        for spec in priors:
-            if not isinstance(spec, PriorSpec):
-                raise TypeError(f"priors entries must be PriorSpec, got {type(spec).__name__}")
-        ids = [spec.prior_id for spec in priors]
-        if len(set(ids)) != len(ids):
-            raise ValueError("prior ids must be unique")
         needs_priors = any(meth in _INTEGRATION_METHODS for meth in methods)
-        if needs_priors and not priors:
+        if needs_priors and not self.priors:
             raise ValueError("integration methods require at least one prior")
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-        if int(self.mc_samples) < 2:
-            raise ValueError(f"mc_samples must be at least 2, got {self.mc_samples!r}")
-        object.__setattr__(self, "mc_samples", int(self.mc_samples))
+        object.__setattr__(self, "mc_samples", _integer(self.mc_samples, "mc_samples", 2))
         quad_tol = float(self.quad_tol)
         if not quad_tol > 0.0:
             raise ValueError(f"quad_tol must be positive, got {self.quad_tol!r}")
@@ -206,24 +217,6 @@ class SummaryRow:
     max_woe: float
     n_woe_positive: int
     n_woe_negative: int
-
-
-@dataclass(frozen=True)
-class SignErrorRow:
-    """Fraction of wrong-sign WoE values in one cell, both hypotheses pooled.
-
-    Wrong sign means nonpositive WoE under H1 or nonnegative WoE under H2;
-    an exact zero supports neither hypothesis and is counted as wrong.
-    """
-
-    method: str
-    prior_id: str | None
-    m: int
-    q: float
-    w_t_true: float
-    n: int
-    n_wrong: int
-    fraction_wrong: float
 
 
 def _substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -386,24 +379,6 @@ def summarize_records(records) -> list[SummaryRow]:
     return rows
 
 
-def summarize_sign_errors(records) -> list[SignErrorRow]:
-    """Per-cell wrong-sign fractions with both hypotheses pooled."""
-    grouped: dict[tuple, list[int]] = {}
-    for rec in records:
-        key = (rec.method, rec.prior_id, rec.m, rec.q, rec.w_t_true)
-        wrong = (rec.woe <= 0.0) if rec.hypothesis == "H1" else (rec.woe >= 0.0)
-        grouped.setdefault(key, []).append(int(wrong))
-    rows = []
-    for (method, prior_id, m, q, w_t_true), flags in grouped.items():
-        n = len(flags)
-        n_wrong = sum(flags)
-        rows.append(SignErrorRow(
-            method=method, prior_id=prior_id, m=m, q=q, w_t_true=w_t_true,
-            n=n, n_wrong=n_wrong, fraction_wrong=n_wrong / n,
-        ))
-    return rows
-
-
 def compute_ece(woe_h1, woe_h2) -> float:
     """Empirical cross-entropy (bits) of reported WoE values at prior odds 1.
 
@@ -426,7 +401,13 @@ def compute_ece(woe_h1, woe_h2) -> float:
 
 @dataclass(frozen=True)
 class EceRow:
-    """Calibration of one method/prior in one grid cell."""
+    """Calibration and sign errors of one method/prior in one grid cell,
+    both hypotheses pooled.
+
+    A sign error is a nonpositive WoE under H1 or a nonnegative WoE under
+    H2; an exact zero supports neither hypothesis and is wrong under both.
+    ``fraction_wrong`` is ``n_wrong / (n_h1 + n_h2)``.
+    """
 
     method: str
     prior_id: str | None
@@ -436,10 +417,12 @@ class EceRow:
     n_h1: int
     n_h2: int
     ece: float
+    n_wrong: int
+    fraction_wrong: float
 
 
 def compute_ece_by_cell(records) -> list[EceRow]:
-    """Empirical cross-entropy per (method, prior, grid cell).
+    """Empirical cross-entropy and sign errors per (method, prior, grid cell).
 
     Every cell must contain records under both hypotheses; a one-sided
     cell has no calibration to measure and raises ``ValueError`` naming it.
@@ -457,9 +440,11 @@ def compute_ece_by_cell(records) -> list[EceRow]:
                 f"cell method={method!r} prior={prior_id!r} m={m} q={q!r} "
                 f"w_t={w_t_true!r} has no {missing} records; ECE undefined"
             )
+        n_wrong = sum(w <= 0.0 for w in h1) + sum(w >= 0.0 for w in h2)
         rows.append(EceRow(
             method=method, prior_id=prior_id, m=m, q=q, w_t_true=w_t_true,
             n_h1=len(h1), n_h2=len(h2), ece=compute_ece(h1, h2),
+            n_wrong=n_wrong, fraction_wrong=n_wrong / (len(h1) + len(h2)),
         ))
     return rows
 
@@ -475,28 +460,11 @@ class OverdispersionConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q_values", _as_tuple(self.q_values, float, "q_values"))
-        for q in self.q_values:
-            if math.isnan(q) or not 0.0 < q <= 1.0:
-                raise ValueError(f"allele frequency q must lie in (0, 1], got {q!r}")
-        priors = tuple(self.priors)
-        if not priors:
+        _set_shared_fields(self)
+        if not self.priors:
             raise ValueError("priors must be nonempty")
-        for spec in priors:
-            if not isinstance(spec, PriorSpec):
-                raise TypeError(f"priors entries must be PriorSpec, got {type(spec).__name__}")
-        ids = [spec.prior_id for spec in priors]
-        if len(set(ids)) != len(ids):
-            raise ValueError("prior ids must be unique")
-        object.__setattr__(self, "priors", priors)
-        sizes = _as_tuple(self.table_sizes, int, "table_sizes")
-        if any(n < 1 for n in sizes):
-            raise ValueError("table sizes must be positive")
-        object.__setattr__(self, "table_sizes", sizes)
-        if int(self.replicates) < 1:
-            raise ValueError(f"replicates must be at least 1, got {self.replicates!r}")
-        object.__setattr__(self, "replicates", int(self.replicates))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "table_sizes", _as_tuple(
+            self.table_sizes, lambda n: _integer(n, "table size", 1), "table_sizes"))
 
 
 @dataclass(frozen=True)

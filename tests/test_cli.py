@@ -211,6 +211,13 @@ class TestMalformedInput:
         assert main(["estimate", str(p)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {p}:4: count for pair (1, 1)")
 
+    def test_negative_master_seed_in_config(self, tmp_path, capsys):
+        p = tmp_path / "study.yaml"
+        p.write_text(CONFIG_TEXT.replace("master_seed: 3", "master_seed: -1"))
+        records = tmp_path / "records.csv"
+        assert main(["simulate", str(p), "--records", str(records), "--quiet"]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {p}: invalid config: master_seed")
+
     def test_negative_seed(self, case_path, capsys):
         assert main(["woe", str(case_path), "--w-r", "1e-4", "--prior-mean", "1e-3",
                      "--prior-var", "1e-8", "--seed", "-1"]) == EXIT_USAGE
@@ -325,7 +332,15 @@ class TestSimulateAndEce:
         records = read_records_csv(records_path)
         rows = compute_ece_by_cell(records)
         assert len(text) == 1 + len(rows)
-        assert text[0].startswith("method,prior_id,m,q,w_t_true")
+        assert text[0] == ("method,prior_id,m,q,w_t_true,n_h1,n_h2,ece,"
+                           "n_wrong,fraction_wrong")
+        for line, row in zip(text[1:], rows):
+            *_, n_wrong, fraction_wrong = line.split(",")
+            cell = [rec for rec in records if rec.method == row.method]
+            wrong = sum(rec.woe <= 0.0 if rec.hypothesis == "H1" else rec.woe >= 0.0
+                        for rec in cell)
+            assert int(n_wrong) == row.n_wrong == wrong
+            assert float(fraction_wrong) == wrong / (row.n_h1 + row.n_h2)
         capsys.readouterr()
 
     def test_ece_missing_hypothesis_exits_3(self, tmp_path, capsys):

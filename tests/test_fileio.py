@@ -345,7 +345,9 @@ class TestEceCsv:
         with open(path, newline="") as fh:
             got = list(csv.reader(fh))
         assert got[0] == ["method", "prior_id", "m", "q", "w_t_true",
-                          "n_h1", "n_h2", "ece"]
+                          "n_h1", "n_h2", "ece", "n_wrong", "fraction_wrong"]
         assert len(got) == 1 + len(rows)
         assert float(got[1][7]) == rows[0].ece
+        assert int(got[1][8]) == rows[0].n_wrong
+        assert float(got[1][9]) == rows[0].fraction_wrong
         assert got[1][3] == "0.75"

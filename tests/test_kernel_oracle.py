@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle_per_group as oracle
@@ -103,6 +103,15 @@ def outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs), None
     except (DegenerateCaseError, QuadratureError) as exc:
         return None, str(exc)
+
+
+def split_abserr(message):
+    """An error message as (text, abserr): a ``QuadratureError`` message
+    split before ``with abserr``, any other message whole with ``None``."""
+    if message is None or " with abserr " not in message:
+        return message, None
+    text, err = message.rsplit(" with abserr ", 1)
+    return text, float(err)
 
 
 def assert_close(got, want, rel=REL):
@@ -197,14 +206,29 @@ class TestIntegrationAndProfile:
             assert abs(got[0] - old[0][0]) <= 1e-9
 
     @given(case=cases(max_m=6), w_r=interior_probs)
+    @example(case=CaseData((MarkerObservation(1, 0, hwe_priors(1.0 - 4.196e-7)),),
+                           ids=("rs0",)),
+             w_r=1e-5)
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_quadrature_within_tol(self, case, w_r):
+        """Both paths fail with the same message up to its abserr figure.
+
+        The kernel and the oracle evaluate the same quadratic integrand in a
+        different operation order, so ``quad``'s error estimate differs in
+        its trailing digits (7.016387915115274e-09 against
+        7.016551339944499e-09 on the example above). The text before
+        ``with abserr`` (tol, pattern count, worst marker) must match, and
+        the two abserr values must agree to 1e-3 relative.
+        """
         prior = ScaledBeta.from_moments(1e-3, 1e-6)
         tol = 1e-8
         got = outcome(lambda: woe_integrate_quad(case, prior, w_r, tol).woe)
         old = outcome(oracle.woe_integrate_quad, case, prior, w_r, tol)
-        assert got[1] == old[1]
+        (got_text, got_err), (old_text, old_err) = split_abserr(got[1]), split_abserr(old[1])
+        assert got_text == old_text
+        if old_err is not None:
+            assert math.isclose(got_err, old_err, rel_tol=1e-3)
         if old[1] is None:
             assert abs(got[0] - old[0]) <= 2.0 * tol * case.m
 

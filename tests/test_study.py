@@ -26,7 +26,6 @@ from snpwoe.study import (
     simulate_overdispersed_table,
     summarize_overdispersion,
     summarize_records,
-    summarize_sign_errors,
 )
 from snpwoe.evidence import woe_known
 
@@ -150,6 +149,46 @@ class TestStudyConfig:
             PriorSpec("u", (1.0, 1.0))
 
 
+def study_config(**kw):
+    args = dict(q_values=(0.75,), w_t_values=(1e-3,), w_r=1e-4,
+                marker_counts=(50,), replicates=2, methods=("true-w",))
+    return StudyConfig(**{**args, **kw})
+
+
+def overdispersion_config(**kw):
+    args = dict(q_values=(0.9,), priors=(PRIOR_SPEC,), table_sizes=(100,),
+                replicates=2)
+    return OverdispersionConfig(**{**args, **kw})
+
+
+@pytest.mark.parametrize("make, key, value", [
+    (study_config, "marker_counts", (50.7,)),
+    (study_config, "replicates", 2.9),
+    (study_config, "mc_samples", 999.5),
+    (study_config, "master_seed", 1.5),
+    (study_config, "master_seed", -1),
+    (study_config, "replicates", True),
+    (study_config, "master_seed", float("inf")),
+    (overdispersion_config, "table_sizes", (100.9,)),
+    (overdispersion_config, "replicates", 2.5),
+    (overdispersion_config, "master_seed", 3.7),
+    (overdispersion_config, "master_seed", -1),
+    (overdispersion_config, "replicates", False),
+])
+def test_integer_fields_are_not_truncated(make, key, value):
+    with pytest.raises(ValueError):
+        make(**{key: value})
+
+
+def test_integral_values_are_kept_as_ints():
+    cfg = study_config(marker_counts=(np.int64(50), 60.0), replicates=np.int32(3),
+                       master_seed=0)
+    assert cfg.marker_counts == (50, 60) and cfg.replicates == 3
+    assert all(type(v) is int for v in (*cfg.marker_counts, cfg.replicates, cfg.master_seed))
+    cfg = overdispersion_config(table_sizes=(1e3,), master_seed=2**70)
+    assert cfg.table_sizes == (1000,) and cfg.master_seed == 2**70
+
+
 class TestRunWoeStudy:
     def test_record_grid_and_metadata(self):
         cfg = StudyConfig(
@@ -239,12 +278,12 @@ class TestSummaries:
         records = [record("H1", 1.0, replicate=i) for i in range(499)]
         records.append(record("H1", -2.0, replicate=499))
         records += [record("H2", -1.0, replicate=i) for i in range(500)]
-        (row,) = summarize_sign_errors(records)
-        assert row.n == 1000 and row.n_wrong == 1
+        (row,) = compute_ece_by_cell(records)
+        assert row.n_h1 + row.n_h2 == 1000 and row.n_wrong == 1
         assert row.fraction_wrong == 0.001
 
     def test_zero_woe_is_wrong_under_both(self):
-        rows = summarize_sign_errors([record("H1", 0.0), record("H2", 0.0)])
+        rows = compute_ece_by_cell([record("H1", 0.0), record("H2", 0.0)])
         assert rows[0].n_wrong == 2
 
 
