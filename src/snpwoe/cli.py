@@ -215,6 +215,8 @@ def cmd_woe(args) -> int:
                 raise UsageError(f"--quad-tol must be positive, got {args.quad_tol!r}")
             result = woe_integrate_quad(case, prior, w_r, args.quad_tol)
             payload["quad_tol"] = args.quad_tol
+            payload["quad_abserr"] = result.quad_abserr
+            payload["quad_fallbacks"] = result.quad_fallbacks
 
     payload["method"] = result.method
     payload["woe"] = result.woe

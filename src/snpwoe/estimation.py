@@ -37,6 +37,9 @@ __all__ = [
 # Upper end of the likelihood search; the channel is only identifiable
 # below 1/2.
 _W_UPPER = 0.5 - 1e-12
+# Relative gap below which an end point's log-likelihood counts as the
+# maximum: a few hundred rounding errors of the summed log terms.
+_FLAT = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +81,8 @@ class WEstimate:
     ``log_likelihood`` is the natural-log likelihood at ``w``;
     ``at_boundary`` flags an optimum pinned to an end of the search
     interval (typically ``w = 0`` for fully concordant duplicates), where
-    the usual interior-optimum asymptotics do not apply.
+    the usual interior-optimum asymptotics do not apply; an end whose
+    log-likelihood matches the maximum to rounding counts as that optimum.
     """
 
     w: float
@@ -122,8 +126,14 @@ def _maximize_rows(priors: np.ndarray, a: np.ndarray, b: np.ndarray,
             return _fsum_rows(counts, np.log(_polyval_rows(quartic, w)))
 
     w_hat, value = maximize_on_interval(log_lik, 0.0, _W_UPPER)
-    at_boundary = w_hat == 0.0 or w_hat == _W_UPPER
-    return WEstimate(w_hat, value, at_boundary)
+    # Toward w = 1/2 the likelihood can be flat to rounding, and where
+    # Brent's search stops there is arbitrary: an end point whose value
+    # matches the maximum to rounding is the estimate.
+    for end in (0.0, _W_UPPER):
+        at_end = log_lik(np.array([end]))[0]
+        if at_end >= value - _FLAT * max(1.0, abs(value)):
+            return WEstimate(end, at_end, True)
+    return WEstimate(w_hat, value, False)
 
 
 def estimate_w_mle(table: PairCountTable) -> WEstimate:

@@ -77,7 +77,10 @@ class WoEResult:
 
     ``w_hat_h1``/``w_hat_h2`` are the per-hypothesis maximizers and are
     present exactly for the profile method; ``mc_std_error`` is the Monte
-    Carlo standard error and is present exactly for ``integrate-mc``.
+    Carlo standard error and is present exactly for ``integrate-mc``;
+    ``quad_abserr`` (the largest per-row error estimate over both
+    hypotheses) and ``quad_fallbacks`` (the number of row integrals redone
+    by adaptive quadrature) are present exactly for ``integrate-quad``.
     """
 
     woe: float
@@ -85,6 +88,8 @@ class WoEResult:
     w_hat_h1: float | None = None
     w_hat_h2: float | None = None
     mc_std_error: float | None = None
+    quad_abserr: float | None = None
+    quad_fallbacks: int | None = None
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -99,6 +104,13 @@ class WoEResult:
             raise ValueError("mc_std_error is present exactly for integrate-mc results")
         if self.mc_std_error is not None and not self.mc_std_error >= 0.0:
             raise ValueError(f"mc_std_error must be nonnegative, got {self.mc_std_error!r}")
+        is_quad = self.method == METHOD_INTEGRATE_QUAD
+        if (self.quad_abserr is not None) != is_quad or (self.quad_fallbacks is not None) != is_quad:
+            raise ValueError("quad_abserr and quad_fallbacks are present exactly for "
+                             "integrate-quad results")
+        if is_quad and not (self.quad_abserr >= 0.0 and self.quad_fallbacks >= 0):
+            raise ValueError(f"quad_abserr and quad_fallbacks must be nonnegative, got "
+                             f"{self.quad_abserr!r} and {self.quad_fallbacks!r}")
         woe = float(self.woe)
         if math.isnan(woe):
             raise ValueError("WoE must not be NaN")
@@ -149,8 +161,9 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
 
 def _integrator(prior: ScaledBeta, tol: float):
     """``coeffs -> (value, abserr, ok)`` of ``E_prior[log10(c0 + w*(c1 +
-    w*c2))]``, one quadrature per distinct coefficient triple. Quantiles are
-    memoized per node, since the integrals visit mostly the same nodes."""
+    w*c2))]`` by adaptive ``quad``, one call per distinct coefficient triple.
+    Quantiles are memoized per node, since the integrals visit mostly the
+    same nodes."""
     quantiles: dict[float, float] = {}
     done: dict[tuple[float, float, float], tuple[float, float, bool]] = {}
 
@@ -173,6 +186,79 @@ def _integrator(prior: ScaledBeta, tol: float):
     return integrate
 
 
+# QUADPACK's qk21 pair (Piessens et al. 1983): the 21-point Kronrod nodes on
+# [-1, 1] (abscissae >= 0, descending), their weights, and the weights of
+# the embedded 10-point Gauss rule, whose nodes are _XGK[1::2].
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+
+
+def _gk21_panels():
+    """Nodes in (0, 1), Kronrod weights (both flat, panel-major) and the
+    Kronrod-minus-Gauss weights per panel of a composite G10/K21 rule.
+
+    Panel edges are ``0.2**k`` for ``k = 1..23`` from 0 and from 1
+    (``0.2**23`` is about 1e-16), with one middle panel, so integrable
+    endpoint singularities of the integrand in prior-CDF space are resolved
+    geometrically. Right-hand panels mirror the left ones exactly; nodes
+    that round to 1 are clipped into the open interval.
+    """
+    x = np.array([-v for v in _XGK[:-1]] + list(_XGK[::-1]))
+    wk = np.array(_WGK[:-1] + _WGK[::-1])
+    wg = np.zeros(21)
+    wg[1:10:2] = _WG
+    wg[11:20:2] = _WG[::-1]
+    edges = np.concatenate(([0.0], 0.2 ** np.arange(23, 0, -1.0)))
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    left = (0.5 * (lo + hi))[:, None] + half[:, None] * x
+    nodes = np.concatenate((left, [0.5 + 0.3 * x], 1.0 - left[::-1, ::-1]))
+    half = np.concatenate((half, [0.3], half[::-1]))[:, None]
+    nodes = np.clip(nodes, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+    return nodes.ravel(), (half * wk).ravel(), half * (wk - wg)
+
+
+_QUAD_NODES, _QUAD_WEIGHTS, _QUAD_PANEL_DIFF = _gk21_panels()
+# Rows per block of the (rows x nodes) integrand matrix, about 1 MB each.
+_QUAD_BLOCK = 128
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
+
+def _gk21_rows(coeffs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the composite K21 integral of ``log10(c0 + w*(c1 + w*c2))``
+    over the prior-CDF nodes (``w`` are their floored quantiles) and its
+    error estimate: the summed per-panel ``|K21 - G10|``, floored at
+    QUADPACK's round-off level ``50 * eps * integral of |f|``."""
+    value = np.empty(len(coeffs))
+    error = np.empty(len(coeffs))
+    for start in range(0, len(coeffs), _QUAD_BLOCK):
+        c = coeffs[start:start + _QUAD_BLOCK]
+        block = slice(start, start + len(c))
+        f = c[:, 2:] * w                      # (block, nodes), then in place
+        f += c[:, 1:2]
+        f *= w
+        f += c[:, :1]
+        np.log10(f, out=f)
+        gap = np.abs((f.reshape(len(c), -1, 21) * _QUAD_PANEL_DIFF).sum(axis=2))
+        f *= _QUAD_WEIGHTS                    # the Kronrod weights are positive
+        value[block] = f.sum(axis=1)
+        error[block] = np.maximum(gap.sum(axis=1), _ROUNDOFF * np.abs(f, out=f).sum(axis=1))
+    return value, error
+
+
 def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
                        tol: float = 1e-8,
                        prior_h2: ScaledBeta | None = None) -> WoEResult:
@@ -183,9 +269,16 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     ``w_t = quantile(v)``), which concentrates nodes where the prior has
     mass and keeps the endpoint behaviour integrable even for priors with
     unbounded density. Under H2 the trace and reference factors separate,
-    so only the trace factor needs quadrature. Each distinct H1 and each
-    distinct trace polynomial of the case kernel is integrated once.
-    ``prior_h2``, when given, replaces the prior in the H2 integrals.
+    so only the trace factor needs quadrature. ``prior_h2``, when given,
+    replaces the prior in the H2 integrals.
+
+    Every row of the case kernel is integrated by one fixed composite
+    Gauss-Kronrod 10/21 rule, vectorized over rows, with the prior
+    quantiles computed once per call. A row integral whose error estimate
+    exceeds ``tol / 2`` is redone by adaptive ``scipy.integrate.quad``;
+    ``QuadratureError`` is raised when that fails to reach ``tol``. The
+    result reports the largest per-row error estimate and the number of
+    row integrals redone.
     """
     w_r = validate_error_prob(w_r, "w_r")
     tol = float(tol)
@@ -193,26 +286,35 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
         raise ValueError(f"tol must be positive, got {tol!r}")
     check_h2_support(case, None, w_r)
     kernel = case.kernel(w_r)
-    integrate_h1 = _integrator(prior, tol)
-    integrate_h2 = integrate_h1 if prior_h2 is None else _integrator(prior_h2, tol)
-    total_parts: list[float] = []
-    failures: list[tuple[float, str]] = []
-    for i, (c_h1, c_t) in enumerate(zip(kernel.c_h1.tolist(), kernel.c_t.tolist())):
-        i1, err1, ok1 = integrate_h1(tuple(c_h1))
-        i2, err2, ok2 = integrate_h2(tuple(c_t))
-        if not (ok1 and ok2):
-            failures.append((max(err1, err2),
-                             case.marker_label(int(kernel.first[i]))))
-            continue
-        total_parts.append(kernel.counts[i] * (i1 - (i2 + kernel.log10_mr[i])))
-    if failures:
-        worst_err, worst_label = max(failures)
+    w = np.maximum(prior.quantile(_QUAD_NODES), _W_FLOOR)
+    w_h2 = w if prior_h2 is None else np.maximum(prior_h2.quantile(_QUAD_NODES), _W_FLOOR)
+    i1, err1 = _gk21_rows(kernel.c_h1, w)
+    i2, err2 = _gk21_rows(kernel.c_t, w_h2)
+    ok = np.ones(len(i1), dtype=bool)
+    fallbacks = 0
+    for values, errors, coeffs, dist in ((i1, err1, kernel.c_h1, prior),
+                                         (i2, err2, kernel.c_t, prior_h2 or prior)):
+        redo = np.flatnonzero(errors > 0.5 * tol)
+        if redo.size:
+            integrate = _integrator(dist, tol)
+            for i in redo.tolist():
+                values[i], errors[i], ok_i = integrate(tuple(coeffs[i].tolist()))
+                ok[i] &= ok_i
+            fallbacks += redo.size
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        worst_err, worst_label = max(
+            (float(max(err1[i], err2[i])), case.marker_label(int(kernel.first[i])))
+            for i in bad.tolist())
         raise QuadratureError(
-            f"quadrature failed to reach tol={tol!r} on {len(failures)} "
+            f"quadrature failed to reach tol={tol!r} on {len(bad)} "
             f"marker pattern(s); worst at marker {worst_label} "
             f"with abserr {worst_err!r}"
         )
-    return WoEResult(math.fsum(total_parts), METHOD_INTEGRATE_QUAD)
+    total = kernel.counts * (i1 - (i2 + kernel.log10_mr))
+    return WoEResult(math.fsum(total.tolist()), METHOD_INTEGRATE_QUAD,
+                     quad_abserr=float(max(err1.max(), err2.max())),
+                     quad_fallbacks=fallbacks)
 
 
 def woe_profile(case: CaseData, w_r: float, lower: float = 0.0,

@@ -124,9 +124,12 @@ class TestWoeCommand:
                                     "1e-8", "--integration", "quad", "--json"])
         case = parse_case_file(case_path)
         prior = ScaledBeta.from_moments(1e-3, 1e-8)
-        assert payload["woe"] == woe_integrate_quad(case, prior, 1e-4).woe
+        result = woe_integrate_quad(case, prior, 1e-4)
+        assert payload["woe"] == result.woe
         assert payload["method"] == "integrate-quad"
         assert payload["quad_tol"] == 1e-8
+        assert payload["quad_abserr"] == result.quad_abserr
+        assert payload["quad_fallbacks"] == result.quad_fallbacks == 0
         assert math.isclose(payload["prior_mean"], 1e-3, rel_tol=1e-12)
 
     def test_prior_by_shapes(self, case_path, capsys):

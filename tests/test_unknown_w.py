@@ -1,6 +1,11 @@
 """Case-level WoE with unknown trace error probability."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +89,19 @@ class TestWoEResult:
         with pytest.raises(ValueError):
             WoEResult(1.0, METHOD_INTEGRATE_MC, mc_std_error=-1e-9)
 
+    def test_quad_diagnostics_pairing(self):
+        for missing in ({}, {"quad_abserr": 1e-12}, {"quad_fallbacks": 0}):
+            with pytest.raises(ValueError):
+                WoEResult(1.0, METHOD_INTEGRATE_QUAD, **missing)
+        with pytest.raises(ValueError):
+            WoEResult(1.0, METHOD_PLUGIN, quad_abserr=1e-12, quad_fallbacks=0)
+        for bad in ({"quad_abserr": -1e-12, "quad_fallbacks": 0},
+                    {"quad_abserr": 1e-12, "quad_fallbacks": -1}):
+            with pytest.raises(ValueError):
+                WoEResult(1.0, METHOD_INTEGRATE_QUAD, **bad)
+        r = WoEResult(1.0, METHOD_INTEGRATE_QUAD, quad_abserr=1e-12, quad_fallbacks=2)
+        assert (r.quad_abserr, r.quad_fallbacks) == (1e-12, 2)
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             WoEResult(float("nan"), METHOD_KNOWN)
@@ -164,6 +182,49 @@ class TestIntegrateQuad:
         i1, _ = quad(f1, 0.0, 0.5, limit=300)
         want = i1 - math.log10(joint_prob_h2(1, 1, PRIORS75, 1e-3, 1e-4))
         assert math.isclose(shifted.woe, want, rel_tol=0, abs_tol=1e-4)
+
+    def test_reports_error_and_fallbacks(self):
+        # The (0, 1) pair at w_r = 0 has a log-singular H1 integrand; the
+        # fixed rule's G10/K21 gap on it (about 1e-10) is under tol/2 at
+        # the default tol and over it at tol = 1e-10, where that one row
+        # integral is redone by adaptive quad.
+        case = CaseData((MarkerObservation(0, 1, PRIORS75),
+                         MarkerObservation(0, 0, PRIORS75)))
+        prior = ScaledBeta(0.6, 2.4)
+        plain = woe_integrate_quad(case, prior, w_r=0.0)
+        assert plain.quad_fallbacks == 0
+        assert 0.0 < plain.quad_abserr <= 0.5e-8
+        tight = woe_integrate_quad(case, prior, w_r=0.0, tol=1e-10)
+        assert tight.quad_fallbacks == 1
+        assert 0.0 < tight.quad_abserr <= 1e-10
+        assert math.isclose(tight.woe, plain.woe, rel_tol=0, abs_tol=2e-10)
+
+    def test_memory_bounded_in_m(self):
+        """m = 10^5 markers with per-marker q stay within 150 MB of peak RSS
+        above the built case; one (rows x nodes) matrix would be 0.8 GB."""
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from snpwoe.evidence import CaseData
+            from snpwoe.genotypes import hwe_prior_array
+            from snpwoe.scaled_beta import ScaledBeta
+            from snpwoe.unknown_w import woe_integrate_quad
+            m = 100_000
+            rng = np.random.default_rng(1)
+            case = CaseData.from_arrays(rng.integers(0, 3, m), rng.integers(0, 3, m),
+                                        hwe_prior_array(rng.uniform(0.05, 0.95, m)))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            woe_integrate_quad(case, ScaledBeta.from_moments(1e-3, 1e-6), 1e-4)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) / 1024.0)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert float(proc.stdout) < 150.0
 
     def test_unreachable_tolerance_reports_marker(self):
         case = CaseData((MarkerObservation(0, 0, PRIORS75),), ids=("rs17",))
