@@ -32,10 +32,12 @@ from .fileio import (
     write_records_csv,
     write_summary_csv,
 )
+from .genotypes import validate_error_prob, validate_integer, validate_positive
 from .scaled_beta import ScaledBeta
 from .study import StudyError, compute_ece_by_cell, run_woe_study, summarize_records
 from .unknown_w import (
     QuadratureError,
+    validate_profile_interval,
     woe_integrate_mc,
     woe_integrate_quad,
     woe_known_result,
@@ -67,33 +69,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_woe = sub.add_parser("woe", help="weight of evidence for one case file")
     p_woe.add_argument("case", help="case CSV (marker_id,x_t,x_r,q or ...,p0,p1,p2)")
-    p_woe.add_argument("--w-r", type=float, required=True,
+    p_woe.add_argument("--w-r", required=True,
                        help="reference-sample error probability in [0, 0.5)")
-    p_woe.add_argument("--w-t", type=float, default=None,
-                       help="trace error probability, if known")
+    p_woe.add_argument("--w-t", help="trace error probability, if known")
     p_woe.add_argument("--plugin", action="store_true",
                        help="evaluate at w_t = w_r")
     p_woe.add_argument("--profile", action="store_true",
                        help="maximize each hypothesis over w_t")
-    p_woe.add_argument("--prior-mean", type=float, default=None,
-                       help="prior mean of w_t (with --prior-var)")
-    p_woe.add_argument("--prior-var", type=float, default=None,
-                       help="prior variance of w_t (with --prior-mean)")
-    p_woe.add_argument("--prior-shape1", type=float, default=None,
+    p_woe.add_argument("--prior-mean", help="prior mean of w_t (with --prior-var)")
+    p_woe.add_argument("--prior-var", help="prior variance of w_t (with --prior-mean)")
+    p_woe.add_argument("--prior-shape1",
                        help="first beta shape of the w_t prior (with --prior-shape2)")
-    p_woe.add_argument("--prior-shape2", type=float, default=None,
+    p_woe.add_argument("--prior-shape2",
                        help="second beta shape of the w_t prior (with --prior-shape1)")
     p_woe.add_argument("--integration", choices=("mc", "quad"), default="mc",
                        help="integration scheme when a prior is given")
-    p_woe.add_argument("--mc-samples", type=int, default=1000,
+    p_woe.add_argument("--mc-samples", default=1000,
                        help="Monte Carlo draws for --integration mc")
-    p_woe.add_argument("--seed", type=int, default=0,
+    p_woe.add_argument("--seed", default=0,
                        help="seed for --integration mc")
-    p_woe.add_argument("--quad-tol", type=float, default=1e-8,
+    p_woe.add_argument("--quad-tol", default=1e-8,
                        help="absolute tolerance for --integration quad")
-    p_woe.add_argument("--profile-lower", type=float, default=0.0,
+    p_woe.add_argument("--profile-lower", default=0.0,
                        help="lower end of the profile search interval")
-    p_woe.add_argument("--profile-upper", type=float, default=0.5,
+    p_woe.add_argument("--profile-upper", default=0.5,
                        help="upper end of the profile search interval")
     p_woe.add_argument("--per-marker", action="store_true",
                        help="also print per-marker log10 LR contributions "
@@ -127,14 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_range(name: str, value: float, low: float, high: float,
-                 include_low: bool = True) -> float:
-    value = float(value)
-    ok = (low <= value if include_low else low < value) and value < high
-    if value != value or not ok:
-        lo_br = "[" if include_low else "("
-        raise UsageError(f"{name} must lie in {lo_br}{low}, {high}), got {value!r}")
-    return value
+def _flag(check, *args):
+    """``check(*args)`` on a flag value; a ``ValueError`` is a usage error."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _select_woe_method(args):
@@ -161,25 +158,20 @@ def _select_woe_method(args):
         return "plugin", None
     if args.profile:
         return "profile", None
-    try:
-        if by_moments:
-            prior = ScaledBeta.from_moments(args.prior_mean, args.prior_var)
-        else:
-            prior = ScaledBeta(args.prior_shape1, args.prior_shape2)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return "integrate", prior
+    if by_moments:
+        return "integrate", _flag(ScaledBeta.from_moments, args.prior_mean, args.prior_var)
+    return "integrate", _flag(ScaledBeta, args.prior_shape1, args.prior_shape2)
 
 
 def cmd_woe(args) -> int:
     method, prior = _select_woe_method(args)
-    w_r = _check_range("--w-r", args.w_r, 0.0, 0.5)
+    w_r = _flag(validate_error_prob, args.w_r, "--w-r")
     case = parse_case_file(args.case)
 
     payload: dict = {"markers": case.m, "w_r": w_r}
     per_marker_at: tuple[float, float] | None = None
     if method == "known":
-        w_t = _check_range("--w-t", args.w_t, 0.0, 0.5)
+        w_t = _flag(validate_error_prob, args.w_t, "--w-t")
         result = woe_known_result(case, w_t, w_r)
         payload["w_t"] = w_t
         per_marker_at = (w_t, w_t)
@@ -187,10 +179,8 @@ def cmd_woe(args) -> int:
         result = woe_plugin(case, w_r)
         per_marker_at = (w_r, w_r)
     elif method == "profile":
-        lo = _check_range("--profile-lower", args.profile_lower, 0.0, 0.5)
-        hi = float(args.profile_upper)
-        if not lo < hi <= 0.5:
-            raise UsageError(f"--profile-upper must lie in (lower, 0.5], got {hi!r}")
+        lo, hi = _flag(validate_profile_interval, args.profile_lower, args.profile_upper,
+                       ("--profile-lower", "--profile-upper"))
         result = woe_profile(case, w_r, lo, hi)
         payload["w_hat_h1"] = result.w_hat_h1
         payload["w_hat_h2"] = result.w_hat_h2
@@ -201,20 +191,17 @@ def cmd_woe(args) -> int:
         payload["prior_mean"] = prior.mean
         payload["prior_variance"] = prior.variance
         if args.integration == "mc":
-            if args.mc_samples < 2:
-                raise UsageError(f"--mc-samples must be at least 2, got {args.mc_samples}")
-            if args.seed < 0:
-                raise UsageError(f"--seed must be nonnegative, got {args.seed}")
-            rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-            result = woe_integrate_mc(case, prior, w_r, rng, args.mc_samples)
-            payload["mc_samples"] = args.mc_samples
-            payload["seed"] = args.seed
+            n_samples = _flag(validate_integer, args.mc_samples, "--mc-samples", 2)
+            seed = _flag(validate_integer, args.seed, "--seed", 0)
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            result = woe_integrate_mc(case, prior, w_r, rng, n_samples)
+            payload["mc_samples"] = n_samples
+            payload["seed"] = seed
             payload["mc_std_error"] = result.mc_std_error
         else:
-            if not args.quad_tol > 0.0:
-                raise UsageError(f"--quad-tol must be positive, got {args.quad_tol!r}")
-            result = woe_integrate_quad(case, prior, w_r, args.quad_tol)
-            payload["quad_tol"] = args.quad_tol
+            tol = _flag(validate_positive, args.quad_tol, "--quad-tol")
+            result = woe_integrate_quad(case, prior, w_r, tol)
+            payload["quad_tol"] = tol
             payload["quad_abserr"] = result.quad_abserr
             payload["quad_fallbacks"] = result.quad_fallbacks
 

@@ -10,7 +10,6 @@ over ``w`` gives the MLE.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -90,10 +89,7 @@ class WEstimate:
     at_boundary: bool
 
     def __post_init__(self) -> None:
-        w = float(self.w)
-        if math.isnan(w) or not 0.0 <= w < 0.5:
-            raise ValueError(f"estimated w must lie in [0, 0.5), got {w!r}")
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", validate_error_prob(self.w, "estimated w"))
         object.__setattr__(self, "log_likelihood", float(self.log_likelihood))
         object.__setattr__(self, "at_boundary", bool(self.at_boundary))
 

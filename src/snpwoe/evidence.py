@@ -180,6 +180,13 @@ def _fsum_rows(counts: np.ndarray, terms: np.ndarray):
     return sums[0] if terms.ndim == 1 else np.array(sums).reshape(terms.shape[1:])
 
 
+def _log10_h2_rows(c_t: np.ndarray, log10_mr: np.ndarray, w) -> np.ndarray:
+    """Per row, ``log10(c_t @ (1, w, w**2)) + log10_mr``."""
+    mr = log10_mr.reshape(log10_mr.shape + (1,) * np.ndim(w))
+    with np.errstate(divide="ignore"):
+        return np.log10(_polyval_rows(c_t, w)) + mr
+
+
 @dataclass(frozen=True, eq=False)
 class CaseKernel:
     """A case's likelihood at a fixed ``w_r`` as polynomials in the trace
@@ -190,6 +197,11 @@ class CaseKernel:
     ``first[i]``; marker ``j`` is in row ``inverse[j]``. The row's
     probability is ``c_h1[i] @ (1, w, w**2)`` under H1 and
     ``(c_t[i] @ (1, w, w**2)) * 10**log10_mr[i]`` under H2.
+
+    The rows ``mono`` have a prior that puts all mass on one dosage, so
+    their likelihood ratio is 1 at every ``w``: there ``c_h1`` is
+    ``c_t * 10**log10_mr``. Their H1 term is computed by the H2 term's
+    expression, so it cancels exactly.
     """
 
     x_t: np.ndarray
@@ -200,6 +212,7 @@ class CaseKernel:
     c_h1: np.ndarray
     c_t: np.ndarray
     log10_mr: np.ndarray
+    mono: np.ndarray
 
     @classmethod
     def build(cls, priors, x_t, x_r, counts, first, inverse, w_r: float) -> CaseKernel:
@@ -209,18 +222,20 @@ class CaseKernel:
         c_h1 = np.einsum("kz,zk,jzk->kj", priors, t_r, coef_t)
         with np.errstate(divide="ignore"):  # -inf is rejected by check_h2_support
             log10_mr = np.log10(np.einsum("kz,zk->k", priors, t_r))
-        return cls(x_t, x_r, counts, first, inverse, c_h1, c_t, log10_mr)
+        mono = np.flatnonzero(np.all((priors == 0.0) | (priors == 1.0), axis=1))
+        return cls(x_t, x_r, counts, first, inverse, c_h1, c_t, log10_mr, mono)
 
     def log10_h1(self, w) -> np.ndarray:
         """Per-row log10 P(x_t, x_r | H1, w, w_r); -inf at a hard exclusion."""
         with np.errstate(divide="ignore"):
-            return np.log10(_polyval_rows(self.c_h1, w))
+            out = np.log10(_polyval_rows(self.c_h1, w))
+        if self.mono.size:
+            out[self.mono] = _log10_h2_rows(self.c_t[self.mono], self.log10_mr[self.mono], w)
+        return out
 
     def log10_h2(self, w) -> np.ndarray:
         """Per-row log10 P(x_t, x_r | H2, w, w_r)."""
-        mr = self.log10_mr.reshape(self.log10_mr.shape + (1,) * np.ndim(w))
-        with np.errstate(divide="ignore"):
-            return np.log10(_polyval_rows(self.c_t, w)) + mr
+        return _log10_h2_rows(self.c_t, self.log10_mr, w)
 
     def total(self, terms: np.ndarray):
         """Sum over markers of per-row ``terms``, weighted by row counts."""

@@ -200,6 +200,7 @@ _CONFIG_KEYS = {
 _REQUIRED_CONFIG_KEYS = {
     "q_values", "w_t_values", "w_r", "marker_counts", "replicates", "methods",
 }
+_LIST_CONFIG_KEYS = ("q_values", "w_t_values", "marker_counts", "priors")
 _PRIOR_KEYS_MOMENTS = {"id", "mean", "variance"}
 _PRIOR_KEYS_SHAPES = {"id", "shape1", "shape2"}
 
@@ -208,51 +209,22 @@ def _config_error(path, message: str):
     raise ParseError(f"{path}: {message}")
 
 
-def _number(value, path, name: str) -> float:
-    # YAML without a decimal point (e.g. "1e-4") lands here as a string.
-    if isinstance(value, bool) or value is None:
-        _config_error(path, f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        _config_error(path, f"{name} must be a number, got {value!r}")
-
-
-def _integer(value, path, name: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    number = _number(value, path, name)
-    if not number.is_integer():
-        _config_error(path, f"{name} must be an integer, got {value!r}")
-    return int(number)
-
-
-def _number_list(value, path, name: str, parse=_number) -> list:
-    if not isinstance(value, list) or not value:
-        _config_error(path, f"{name} must be a nonempty list")
-    return [parse(v, path, f"{name}[{i}]") for i, v in enumerate(value)]
-
-
 def _prior_spec_from_mapping(entry, path, index: int) -> PriorSpec:
     name = f"priors[{index}]"
     if not isinstance(entry, dict):
         _config_error(path, f"{name} must be a mapping")
     keys = set(entry)
+    if keys == _PRIOR_KEYS_MOMENTS:
+        make, args = ScaledBeta.from_moments, (entry["mean"], entry["variance"])
+    elif keys == _PRIOR_KEYS_SHAPES:
+        make, args = ScaledBeta, (entry["shape1"], entry["shape2"])
+    else:
+        _config_error(path, f"{name} must have keys {{id, mean, variance}} "
+                            f"or {{id, shape1, shape2}}, got {sorted(keys)}")
     try:
-        if keys == _PRIOR_KEYS_MOMENTS:
-            dist = ScaledBeta.from_moments(_number(entry["mean"], path, f"{name}.mean"),
-                                           _number(entry["variance"], path, f"{name}.variance"))
-        elif keys == _PRIOR_KEYS_SHAPES:
-            dist = ScaledBeta(_number(entry["shape1"], path, f"{name}.shape1"),
-                              _number(entry["shape2"], path, f"{name}.shape2"))
-        else:
-            _config_error(path, f"{name} must have keys {{id, mean, variance}} "
-                                f"or {{id, shape1, shape2}}, got {sorted(keys)}")
-        return PriorSpec(str(entry["id"]), dist)
-    except ParseError:
-        raise
+        return PriorSpec(str(entry["id"]), make(*args))
     except ValueError as exc:
-        _config_error(path, f"{name}: {exc}")
+        _config_error(path, f"invalid config: {name}: {exc}")
 
 
 def load_study_config(path) -> StudyConfig:
@@ -261,6 +233,8 @@ def load_study_config(path) -> StudyConfig:
     Priors are given as a list of mappings with an ``id`` plus either
     ``mean``/``variance`` (converted by moment matching) or direct
     ``shape1``/``shape2``. Unknown keys are rejected so typos fail loudly.
+    Values are checked by :class:`StudyConfig` and :class:`ScaledBeta`,
+    whose errors name the key.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -283,28 +257,12 @@ def load_study_config(path) -> StudyConfig:
     methods = data["methods"]
     if not isinstance(methods, list) or not all(isinstance(meth, str) for meth in methods):
         _config_error(path, "methods must be a list of strings")
-    priors = []
-    if "priors" in data:
-        entries = data["priors"]
-        if not isinstance(entries, list):
-            _config_error(path, "priors must be a list")
-        priors = [_prior_spec_from_mapping(e, path, i) for i, e in enumerate(entries)]
-
-    kwargs = {
-        "q_values": _number_list(data["q_values"], path, "q_values"),
-        "w_t_values": _number_list(data["w_t_values"], path, "w_t_values"),
-        "w_r": _number(data["w_r"], path, "w_r"),
-        "marker_counts": _number_list(data["marker_counts"], path, "marker_counts", _integer),
-        "replicates": _integer(data["replicates"], path, "replicates"),
-        "methods": tuple(methods),
-        "priors": tuple(priors),
-    }
-    for key, parse in (("master_seed", _integer), ("mc_samples", _integer), ("quad_tol", _number),
-                       ("profile_lower", _number), ("profile_upper", _number)):
-        if key in data:
-            kwargs[key] = parse(data[key], path, key)
+    for key in _LIST_CONFIG_KEYS:
+        if key in data and not isinstance(data[key], list):
+            _config_error(path, f"{key} must be a list")
+    priors = [_prior_spec_from_mapping(e, path, i) for i, e in enumerate(data.get("priors", []))]
     try:
-        return StudyConfig(**kwargs)
+        return StudyConfig(**{**data, "priors": tuple(priors)})
     except (TypeError, ValueError) as exc:
         _config_error(path, f"invalid config: {exc}")
 

@@ -11,6 +11,7 @@ shares.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ def hwe_priors(q: float) -> GenotypePriors:
         allele count, dosage 0 has probability ``q**2``, dosage 1 has
         ``2*q*(1 - q)``, dosage 2 has ``(1 - q)**2``.
     """
-    q = float(q)
-    if math.isnan(q) or not 0.0 < q <= 1.0:
+    q = validate_real(q, "q")
+    if not 0.0 < q <= 1.0:
         raise ValueError(f"allele frequency q must lie in (0, 1], got {q!r}")
     return GenotypePriors(*hwe_prior_array(q).tolist())
 
@@ -102,14 +103,50 @@ def prior_array(priors) -> np.ndarray:
     return priors
 
 
-def validate_error_prob(w: float, name: str = "w") -> float:
+def validate_real(x, name: str) -> float:
+    """``x`` as a float. A bool or None is rejected; anything ``float()``
+    parses is accepted, a numeric string too (YAML reads ``1e-4``, which
+    has no decimal point, as a string)."""
+    if not isinstance(x, (bool, np.bool_)) and x is not None:
+        try:
+            return float(x)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {x!r}")
+
+
+def validate_integer(n, name: str, minimum: int) -> int:
+    """``n`` as an int of at least ``minimum``. A fraction or an infinity
+    is rejected, not truncated; integral floats and strings are accepted."""
+    if isinstance(n, numbers.Integral) and not isinstance(n, bool):
+        value = int(n)
+    else:
+        x = validate_real(n, name)
+        if not x.is_integer():
+            raise ValueError(f"{name} must be an integer, got {x!r}")
+        value = int(x)
+    if value < minimum:
+        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return value
+
+
+def validate_positive(x, name: str) -> float:
+    """``x`` as a positive float, such as a tolerance or a variance."""
+    x = validate_real(x, name)
+    if not x > 0.0:
+        raise ValueError(f"{name} must be positive, got {x!r}")
+    return x
+
+
+def validate_error_prob(w, name: str = "w") -> float:
     """Check that ``w`` is a usable per-allele error probability.
 
     The error model only identifies probabilities below 1/2, so the valid
     domain is [0, 0.5). Returns ``w`` as a plain float.
     """
-    w = float(w)
-    if math.isnan(w) or not 0.0 <= w < 0.5:
+    w = validate_real(w, name)
+    if not 0.0 <= w < 0.5:
         raise ValueError(f"{name} must lie in [0, 0.5), got {w!r}")
     return w
 

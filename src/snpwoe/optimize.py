@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .genotypes import validate_integer
+
 __all__ = ["maximize_on_interval"]
 
 
@@ -39,9 +41,7 @@ def maximize_on_interval(fn, lower: float, upper: float, n_grid: int = 65,
     """
     if not lower < upper:
         raise ValueError(f"need lower < upper, got [{lower!r}, {upper!r}]")
-    n_grid = int(n_grid)
-    if n_grid < 32:
-        raise ValueError(f"n_grid must be at least 32, got {n_grid}")
+    n_grid = validate_integer(n_grid, "n_grid", 32)
     grid = np.linspace(lower, upper, n_grid)
     vals = np.asarray(fn(grid), dtype=float)
     if vals.shape != grid.shape:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .genotypes import validate_integer, validate_positive, validate_real
+
 __all__ = ["ScaledBeta"]
 
 
@@ -37,7 +39,7 @@ class ScaledBeta:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta"):
-            v = float(getattr(self, name))
+            v = validate_real(getattr(self, name), f"shape {name}")
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"shape {name} must be a finite positive number, got {v!r}")
             object.__setattr__(self, name, v)
@@ -53,12 +55,10 @@ class ScaledBeta:
         ``variance < mean * (1/2 - mean)``; at or beyond that bound no
         beta distribution has the requested moments.
         """
-        mean = float(mean)
-        variance = float(variance)
-        if math.isnan(mean) or not 0.0 < mean < 0.5:
+        mean = validate_real(mean, "mean")
+        if not 0.0 < mean < 0.5:
             raise ValueError(f"mean must lie in (0, 0.5), got {mean!r}")
-        if math.isnan(variance) or variance <= 0.0:
-            raise ValueError(f"variance must be positive, got {variance!r}")
+        variance = validate_positive(variance, "variance")
         m = 2.0 * mean
         s2 = 4.0 * variance
         if s2 >= m * (1.0 - m):
@@ -115,9 +115,7 @@ class ScaledBeta:
         point for extreme shapes; those draws are redrawn so the open
         support is guaranteed.
         """
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"sample size must be at least 1, got {n}")
+        n = validate_integer(n, "n", 1)
         u = rng.beta(self.alpha, self.beta, size=n)
         bad = (u <= 0.0) | (u >= 1.0)
         while np.any(bad):

@@ -18,14 +18,20 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimation import PairCountTable, estimate_w_mle
 from .evidence import CaseData
-from .genotypes import GenotypePriors, hwe_priors, validate_error_prob
+from .genotypes import (
+    GenotypePriors,
+    hwe_priors,
+    validate_error_prob,
+    validate_integer,
+    validate_positive,
+    validate_real,
+)
 from .scaled_beta import ScaledBeta
 from .unknown_w import (
     METHOD_INTEGRATE_MC,
@@ -33,6 +39,7 @@ from .unknown_w import (
     METHOD_PLUGIN,
     METHOD_PROFILE,
     WoEResult,
+    validate_profile_interval,
     woe_integrate_mc,
     woe_integrate_quad,
     woe_known_result,
@@ -96,31 +103,27 @@ class PriorSpec:
             raise TypeError(f"dist must be ScaledBeta, got {type(self.dist).__name__}")
 
 
-def _as_tuple(values, caster, name):
-    out = tuple(caster(v) for v in values)
+def _one_of(value, name: str, allowed: tuple):
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+    return value
+
+
+def _checked_tuple(values, name: str, check, *args) -> tuple:
+    """``values`` as a nonempty tuple, element ``i`` passed through
+    ``check(value, f"{name}[{i}]", *args)``."""
+    out = tuple(check(v, f"{name}[{i}]", *args) for i, v in enumerate(values))
     if not out:
         raise ValueError(f"{name} must be nonempty")
     return out
 
 
-def _integer(value, name: str, minimum: int) -> int:
-    """``value`` as an int of at least ``minimum``; a bool or a fraction is
-    rejected, not truncated."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
-    return int(value)
-
-
 def _set_shared_fields(config) -> None:
     """Check and normalize the fields both study configs have: ``q_values``,
     ``priors``, ``replicates`` and ``master_seed``."""
-    q_values = _as_tuple(config.q_values, float, "q_values")
+    q_values = _checked_tuple(config.q_values, "q_values", validate_real)
     for q in q_values:
-        if math.isnan(q) or not 0.0 < q <= 1.0:
-            raise ValueError(f"allele frequency q must lie in (0, 1], got {q!r}")
+        hwe_priors(q)   # checks 0 < q <= 1
     priors = tuple(config.priors)
     for spec in priors:
         if not isinstance(spec, PriorSpec):
@@ -129,8 +132,8 @@ def _set_shared_fields(config) -> None:
         raise ValueError("prior ids must be unique")
     object.__setattr__(config, "q_values", q_values)
     object.__setattr__(config, "priors", priors)
-    object.__setattr__(config, "replicates", _integer(config.replicates, "replicates", 1))
-    object.__setattr__(config, "master_seed", _integer(config.master_seed, "master_seed", 0))
+    object.__setattr__(config, "replicates", validate_integer(config.replicates, "replicates", 1))
+    object.__setattr__(config, "master_seed", validate_integer(config.master_seed, "master_seed", 0))
 
 
 @dataclass(frozen=True)
@@ -152,32 +155,22 @@ class StudyConfig:
 
     def __post_init__(self) -> None:
         _set_shared_fields(self)
-        object.__setattr__(
-            self, "w_t_values",
-            tuple(validate_error_prob(w, "w_t") for w in _as_tuple(self.w_t_values, float, "w_t_values")),
-        )
+        object.__setattr__(self, "w_t_values",
+                           _checked_tuple(self.w_t_values, "w_t_values", validate_error_prob))
         object.__setattr__(self, "w_r", validate_error_prob(self.w_r, "w_r"))
-        object.__setattr__(self, "marker_counts", _as_tuple(
-            self.marker_counts, lambda m: _integer(m, "marker count", 1), "marker_counts"))
-        methods = _as_tuple(self.methods, str, "methods")
-        unknown = [meth for meth in methods if meth not in STUDY_METHODS]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}; expected subset of {STUDY_METHODS}")
+        object.__setattr__(self, "marker_counts",
+                           _checked_tuple(self.marker_counts, "marker_counts", validate_integer, 1))
+        methods = _checked_tuple(self.methods, "methods", _one_of, STUDY_METHODS)
         if len(set(methods)) != len(methods):
             raise ValueError("methods must be distinct")
         object.__setattr__(self, "methods", methods)
         needs_priors = any(meth in _INTEGRATION_METHODS for meth in methods)
         if needs_priors and not self.priors:
             raise ValueError("integration methods require at least one prior")
-        object.__setattr__(self, "mc_samples", _integer(self.mc_samples, "mc_samples", 2))
-        quad_tol = float(self.quad_tol)
-        if not quad_tol > 0.0:
-            raise ValueError(f"quad_tol must be positive, got {self.quad_tol!r}")
-        object.__setattr__(self, "quad_tol", quad_tol)
-        lo = float(self.profile_lower)
-        hi = float(self.profile_upper)
-        if math.isnan(lo) or math.isnan(hi) or not 0.0 <= lo < hi <= 0.5:
-            raise ValueError(f"profile bounds must satisfy 0 <= lower < upper <= 0.5, got [{lo!r}, {hi!r}]")
+        object.__setattr__(self, "mc_samples", validate_integer(self.mc_samples, "mc_samples", 2))
+        object.__setattr__(self, "quad_tol", validate_positive(self.quad_tol, "quad_tol"))
+        lo, hi = validate_profile_interval(self.profile_lower, self.profile_upper,
+                                           ("profile_lower", "profile_upper"))
         object.__setattr__(self, "profile_lower", lo)
         object.__setattr__(self, "profile_upper", hi)
 
@@ -196,6 +189,10 @@ class StudyRecord:
     woe: float
     w_hat_h1: float | None = None
     w_hat_h2: float | None = None
+
+    def __post_init__(self) -> None:
+        _one_of(self.hypothesis, "hypothesis", HYPOTHESES)
+        _one_of(self.method, "method", STUDY_METHODS)
 
     def cell(self) -> tuple:
         return (self.hypothesis, self.method, self.prior_id, self.m, self.q, self.w_t_true)
@@ -248,11 +245,8 @@ def simulate_case(hypothesis: str, m: int, priors: GenotypePriors, w_t: float,
     reference flip indicators. Under H1 both observations descend from the
     trace donor's genotypes.
     """
-    if hypothesis not in HYPOTHESES:
-        raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {hypothesis!r}")
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"marker count must be positive, got {m}")
+    _one_of(hypothesis, "hypothesis", HYPOTHESES)
+    m = validate_integer(m, "m", 1)
     w_t = validate_error_prob(w_t, "w_t")
     w_r = validate_error_prob(w_r, "w_r")
     z_t = _draw_dosages(priors, m, rng)
@@ -273,9 +267,7 @@ def simulate_overdispersed_table(n_sites: int, prior: ScaledBeta,
     is the point of the study. Draw order: error probabilities, genotypes,
     first-read flips, second-read flips.
     """
-    n_sites = int(n_sites)
-    if n_sites < 1:
-        raise ValueError(f"n_sites must be positive, got {n_sites}")
+    n_sites = validate_integer(n_sites, "n_sites", 1)
     w = prior.sample(rng, n_sites)
     z = _draw_dosages(priors, n_sites, rng)
     x1 = _observe(z, w, rng)
@@ -463,8 +455,8 @@ class OverdispersionConfig:
         _set_shared_fields(self)
         if not self.priors:
             raise ValueError("priors must be nonempty")
-        object.__setattr__(self, "table_sizes", _as_tuple(
-            self.table_sizes, lambda n: _integer(n, "table size", 1), "table_sizes"))
+        object.__setattr__(self, "table_sizes",
+                           _checked_tuple(self.table_sizes, "table_sizes", validate_integer, 1))
 
 
 @dataclass(frozen=True)

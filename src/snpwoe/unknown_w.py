@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .evidence import CaseData, check_h2_support, woe_known
-from .genotypes import validate_error_prob
+from .genotypes import validate_error_prob, validate_integer, validate_positive, validate_real
 from .optimize import maximize_on_interval
 from .scaled_beta import ScaledBeta
 
@@ -124,6 +124,7 @@ def woe_known_result(case: CaseData, w_t: float, w_r: float) -> WoEResult:
 
 def woe_plugin(case: CaseData, w_r: float) -> WoEResult:
     """Evaluate as if the trace were as clean as the reference (w_t = w_r)."""
+    w_r = validate_error_prob(w_r, "w_r")
     return WoEResult(woe_known(case, w_r, w_r), METHOD_PLUGIN)
 
 
@@ -144,9 +145,7 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
     random numbers no longer apply.
     """
     w_r = validate_error_prob(w_r, "w_r")
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+    n_samples = validate_integer(n_samples, "n_samples", 2)
     check_h2_support(case, None, w_r)
     kernel = case.kernel(w_r)
     draws = prior.sample(rng, n_samples)
@@ -281,9 +280,7 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     row integrals redone.
     """
     w_r = validate_error_prob(w_r, "w_r")
-    tol = float(tol)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    tol = validate_positive(tol, "tol")
     check_h2_support(case, None, w_r)
     kernel = case.kernel(w_r)
     w = np.maximum(prior.quantile(_QUAD_NODES), _W_FLOOR)
@@ -311,10 +308,22 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
             f"marker pattern(s); worst at marker {worst_label} "
             f"with abserr {worst_err!r}"
         )
+    if prior_h2 is None:   # monomorphic rows in the H2 form, as in CaseKernel.log10_h1
+        i1[kernel.mono] = i2[kernel.mono] + kernel.log10_mr[kernel.mono]
     total = kernel.counts * (i1 - (i2 + kernel.log10_mr))
     return WoEResult(math.fsum(total.tolist()), METHOD_INTEGRATE_QUAD,
                      quad_abserr=float(max(err1.max(), err2.max())),
                      quad_fallbacks=fallbacks)
+
+
+def validate_profile_interval(lower, upper,
+                              names: tuple[str, str] = ("lower", "upper")) -> tuple[float, float]:
+    """The profile search interval ``0 <= lower < upper <= 0.5`` as floats;
+    ``names`` name the two ends in the error message."""
+    lower, upper = (validate_real(v, name) for v, name in zip((lower, upper), names))
+    if not 0.0 <= lower < upper <= 0.5:
+        raise ValueError(f"need 0 <= {names[0]} < {names[1]} <= 0.5, got [{lower!r}, {upper!r}]")
+    return lower, upper
 
 
 def woe_profile(case: CaseData, w_r: float, lower: float = 0.0,
@@ -327,12 +336,7 @@ def woe_profile(case: CaseData, w_r: float, lower: float = 0.0,
     maxima. The maximizers are reported in the result.
     """
     w_r = validate_error_prob(w_r, "w_r")
-    lower = float(lower)
-    upper = float(upper)
-    if math.isnan(lower) or math.isnan(upper) or not 0.0 <= lower < upper <= 0.5:
-        raise ValueError(
-            f"need 0 <= lower < upper <= 0.5, got [{lower!r}, {upper!r}]"
-        )
+    lower, upper = validate_profile_interval(lower, upper)
     check_h2_support(case, None, w_r)
     hi = min(upper, 0.5 - _HALF_OPEN_MARGIN)
     if not lower < hi:

@@ -358,6 +358,18 @@ class TestSimulateAndEce:
         assert main(["ece", str(records), "--out", str(out)]) == EXIT_DATA
         assert "no H2" in capsys.readouterr().err
 
+    def test_ece_unknown_hypothesis_exits_3(self, tmp_path, capsys):
+        # a lower-case "h1" row would otherwise be counted as H2
+        records = tmp_path / "records.csv"
+        records.write_text("hypothesis,method,prior_id,m,q,w_t_true,replicate,woe,w_hat_h1,w_hat_h2\n"
+                           "H1,true-w,,6,0.75,0.001,0,2.0,,\n"
+                           "h1,true-w,,6,0.75,0.001,1,3.0,,\n"
+                           "H2,true-w,,6,0.75,0.001,0,-4.0,,\n")
+        out = tmp_path / "ece.csv"
+        assert main(["ece", str(records), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {records}:3: hypothesis must be one of")
+        assert not out.exists()
+
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):

@@ -263,7 +263,7 @@ def test_integer_keys_reject_fractions(tmp_path, old, new, name):
     p = tmp_path / "study.yaml"
     p.write_text(("q_values: [0.75]\nw_t_values: [1e-3]\nw_r: 1e-4\n"
                   "marker_counts: [10]\nreplicates: 2\nmethods: [true-w]\n").replace(old, new))
-    with pytest.raises(ParseError, match=rf"^{p}: {re.escape(name)} must be an integer, got "):
+    with pytest.raises(ParseError, match=rf"^{p}: invalid config: {re.escape(name)} must be an integer, got "):
         load_study_config(p)
 
 

@@ -323,6 +323,24 @@ class TestEce:
         with pytest.raises(ValueError, match="no H2"):
             compute_ece_by_cell([record("H1", 2.0)])
 
+    def test_record_labels_are_checked(self):
+        with pytest.raises(ValueError, match="hypothesis must be one of"):
+            record("h1", 2.0)
+        with pytest.raises(ValueError, match="method must be one of"):
+            record("H1", 2.0, method="known")
+
+    def test_monomorphic_cell_has_exact_zeros_and_counts_them_wrong(self):
+        # q = 1 puts every marker on dosage 0, so every likelihood ratio is 1
+        cfg = StudyConfig(q_values=(1.0,), w_t_values=(1e-2,), w_r=1e-4,
+                          marker_counts=(20,), replicates=2,
+                          methods=("true-w", "plug-in", "profile", "integrate-mc",
+                                   "integrate-quad"),
+                          priors=(PRIOR_SPEC,), mc_samples=50)
+        records = run_woe_study(cfg)
+        assert {rec.woe for rec in records} == {0.0}
+        for row in compute_ece_by_cell(records):
+            assert row.n_wrong == row.n_h1 + row.n_h2 == 4
+
 
 class TestPaperScaleCell:
     def test_true_w_h1_mean_at_m50(self):

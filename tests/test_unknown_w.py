@@ -366,6 +366,43 @@ class TestProfile:
             woe_profile(case, w_r=0.0)
 
 
+class TestMonomorphicMarkers:
+    """A marker whose prior is one dosage with certainty has likelihood
+    ratio 1 at every w, and contributes exactly 0 under every method."""
+
+    PRIOR = ScaledBeta.from_moments(1e-3, 1e-6)
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(8)
+        z = rng.integers(0, 3, 20)
+        mono = np.eye(3)[z]
+        x_t = z.copy()
+        x_t[:5] = (z[:5] + 1) % 3   # trace errors on a sure genotype
+        q = rng.uniform(0.05, 0.95, 40)
+        priors = np.stack([q * q, 2 * q * (1 - q), (1 - q) ** 2], axis=1)
+        g = rng.integers(0, 3, 40)
+        informative = CaseData.from_arrays(g, g, priors)
+        mixed = CaseData.from_arrays(np.r_[g, x_t], np.r_[g, z], np.r_[priors, mono])
+        return CaseData.from_arrays(x_t, z, mono), informative, mixed
+
+    def evaluate(self, case):
+        rng = np.random.default_rng(np.random.SeedSequence(9))
+        return (woe_known(case, 1e-3, 1e-4), woe_plugin(case, 1e-4).woe,
+                woe_integrate_mc(case, self.PRIOR, 1e-4, rng, 200).woe,
+                woe_integrate_quad(case, self.PRIOR, 1e-4).woe, woe_profile(case, 1e-4).woe)
+
+    def test_all_monomorphic_case_is_exactly_zero(self):
+        mono, _, _ = self.cases()
+        assert self.evaluate(mono) == (0.0,) * 5
+
+    def test_fixed_and_integrated_methods_ignore_them(self):
+        # the profile maximizers move with them (both hypotheses' likelihoods
+        # change by the same function of w), so only profile differs
+        _, informative, mixed = self.cases()
+        assert self.evaluate(mixed)[:4] == self.evaluate(informative)[:4]
+
+
 class TestCrossMethodConsistency:
     def test_point_mass_prior_collapses_to_known(self):
         # a concentrated prior makes both integration flavours reproduce the
