@@ -18,8 +18,8 @@ import numpy as np
 from .evidence import (
     CaseData,
     MarkerObservation,
-    _fsum_rows,
     _polyval_rows,
+    _row_total,
     joint_table_h1,
 )
 from .genotypes import CHANNEL_COEFFS, GenotypePriors, validate_dosage, validate_error_prob
@@ -117,9 +117,12 @@ def _maximize_rows(priors: np.ndarray, a: np.ndarray, b: np.ndarray,
         for j in range(3):
             quartic[:, i + j] += products[:, i, j]
 
-    def log_lik(w: np.ndarray) -> np.ndarray:
+    def log_terms(w: np.ndarray, rows: slice) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return _fsum_rows(counts, np.log(_polyval_rows(quartic, w)))
+            return np.log(_polyval_rows(quartic[rows], w))
+
+    def log_lik(w: np.ndarray) -> np.ndarray:
+        return _row_total(counts, log_terms, w)
 
     w_hat, value = maximize_on_interval(log_lik, 0.0, _W_UPPER)
     # Toward w = 1/2 the likelihood can be flat to rounding, and where

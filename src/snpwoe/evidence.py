@@ -14,13 +14,16 @@ an observed pair's probability is ``c_h1 · (1, w, w²)`` under H1 and
 ``(c_t · (1, w, w²)) · mr`` under H2, ``mr`` being the reference marginal.
 Markers with identical (priors, x_t, x_r) share one row with a count, so a
 method costs O(distinct rows) per ``w``: at most 9 when all markers share a
-prior, m when each has its own allele frequency. Rows are sorted by value;
-row sums use ``math.fsum`` and depend on neither row nor marker order.
+prior, m when each has its own allele frequency. Rows are sorted by value.
+Row sums are exact, equal to ``math.fsum`` of the weighted terms, and are
+taken one block of rows at a time, so they depend on neither row nor marker
+order and no (rows x points) matrix is built.
 ``joint_table_h1``/``h2`` are the direct contractions, kept as reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -172,12 +175,124 @@ def _polyval_rows(coeffs: np.ndarray, w) -> np.ndarray:
     return out
 
 
-def _fsum_rows(counts: np.ndarray, terms: np.ndarray):
-    """``sum_i counts[i] * terms[i]`` by ``math.fsum``: a float for terms of
-    shape (k,), an array of shape s for terms of shape (k,) + s."""
-    weighted = counts.reshape(counts.shape + (1,) * (terms.ndim - 1)) * terms
-    sums = [math.fsum(col) for col in weighted.reshape(len(counts), -1).T.tolist()]
-    return sums[0] if terms.ndim == 1 else np.array(sums).reshape(terms.shape[1:])
+# Values per block of an exact sum, 128 KB of float64: small enough that a
+# block's temporaries are reused memory rather than fresh pages.
+_SUM_BLOCK = 1 << 14
+# A sum given as one block of fewer rows than this is taken column by
+# column by math.fsum, which is faster there and rounds the same.
+_FSUM_ROWS = 2048
+# Bins are keyed by (exponent field, lane, column), with at least this many
+# lanes per exponent so that neighbouring values add into different bins.
+_LANES = 4
+_EXPONENTS = 2048
+_SIGN_UPPER = np.uint64((1 << 63) | ((1 << 52) - (1 << 26)))
+_UPPER_EXPONENT = np.uint64(1049 << 52)   # 2**26 at the implicit bit
+_LOWER = np.uint64((1 << 26) - 1)
+_NEGATIVE_ZERO = np.uint64(1 << 63)
+
+
+def _exact_sums(blocks) -> np.ndarray:
+    """Column sums of all rows of ``blocks``, an iterable of nonempty float
+    arrays of shape (n, c), each correctly rounded from the exact sum: equal
+    to ``math.fsum`` of the column, whatever the order of its values or their
+    split into blocks. A block is used up before the next is drawn, so the
+    blocks may share one buffer.
+
+    A value is ``±(upper * 2**26 + lower) * 2**(e - 1075)``: ``e`` its
+    exponent field (0 counts as 1, so subnormals stay exact) and ``upper``,
+    ``lower`` the top 27 and bottom 26 bits of its 53-bit significand. For
+    each piece of at most ``_SUM_BLOCK`` rows each signed half is added into
+    float bins by ``np.bincount`` (exact: far fewer than 2**26 values a bin),
+    then into int64 totals (exact below 2**36 values a column); the totals
+    meet as Python ints and round once, in an integer division.
+
+    A column holding inf or nan gets ``math.fsum``'s result for those
+    values: nan, ±inf, or ``ValueError`` for inf + -inf. A column whose
+    rounded sum overflows raises ``OverflowError`` as fsum does; a finite
+    sum is returned even where fsum's partial sums overflow and it raises.
+    """
+    blocks = iter(blocks)
+    first = next(blocks)
+    if len(first) < _FSUM_ROWS:
+        listed = first.T.tolist()   # a copy: the next block may reuse first's memory
+        second = next(blocks, None)
+        if second is None:
+            try:
+                return np.array([math.fsum(col) for col in listed])
+            except OverflowError:   # in fsum's partial sums, maybe not in the sum
+                pass
+        else:
+            blocks = itertools.chain((second,), blocks)
+        first = np.array(listed).T
+    columns = first.shape[1]
+    lanes = -(-_LANES // columns)
+    slot = np.arange(0)
+    upper_bins = np.zeros((_EXPONENTS, columns), dtype=np.int64)
+    lower_bins = np.zeros((_EXPONENTS, columns), dtype=np.int64)
+    special = np.zeros((3, columns), dtype=bool)        # holds +inf, -inf, nan
+    negative_zeros = np.ones(columns, dtype=bool)       # every value is -0.0
+    pieces = (block[i:i + _SUM_BLOCK] for block in itertools.chain((first,), blocks)
+              for i in range(0, len(block), _SUM_BLOCK))
+    for block in pieces:
+        block = np.ascontiguousarray(block, dtype=float)
+        values = block.ravel()
+        bits = values.view(np.uint64)
+        key = (bits >> np.uint64(52)).view(np.intp)
+        key &= _EXPONENTS - 1
+        low, high = int(key.min()), int(key.max())
+        if high == _EXPONENTS - 1:
+            special |= [(block == np.inf).any(axis=0), (block == -np.inf).any(axis=0),
+                        np.isnan(block).any(axis=0)]
+        upper = ((bits & _SIGN_UPPER) | _UPPER_EXPONENT).view(float)
+        if low == 0:   # zeros and subnormals have no implicit bit
+            tiny = key == 0
+            upper[tiny] -= np.copysign(2.0 ** 26, upper[tiny])
+            negative_zeros &= (bits.reshape(block.shape) == _NEGATIVE_ZERO).all(axis=0)
+        else:
+            negative_zeros[:] = False
+        lower = np.copysign((bits & _LOWER).astype(float), values)
+        if len(slot) < len(key):
+            slot = np.arange(len(key)) % (lanes * columns)
+        key -= low
+        key *= lanes * columns
+        key += slot[:len(key)]
+        for half, bins in ((upper, upper_bins), (lower, lower_bins)):
+            binned = np.bincount(key, half, (high - low + 1) * lanes * columns)
+            bins[low:high + 1] += binned.reshape(-1, lanes, columns).sum(axis=1).astype(np.int64)
+    used = np.flatnonzero((upper_bins != 0).any(axis=1) | (lower_bins != 0).any(axis=1))
+    shifts = [max(e - 1, 0) for e in used.tolist()]
+    sums = np.empty(columns)
+    for j, (ups, lows) in enumerate(zip(upper_bins[used].T.tolist(), lower_bins[used].T.tolist())):
+        if special[:, j].any():
+            sums[j] = math.fsum(v for v, has in zip((math.inf, -math.inf, math.nan), special[:, j])
+                                if has)
+            continue
+        exact = sum(((u << 26) + v) << s for u, v, s in zip(ups, lows, shifts))
+        # A column of -0.0 only gets the zero this Python's fsum gives it.
+        sums[j] = math.fsum([-0.0]) if exact == 0 and negative_zeros[j] else exact / (1 << 1074)
+    return sums
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """``math.fsum`` of a 1-D float array."""
+    return float(_exact_sums((values[:, None],))[0])
+
+
+def _row_total(counts: np.ndarray, term, w):
+    """``sum_i counts[i] * term(w, rows)[i]``, the per-row terms at ``w``
+    evaluated for one block of rows at a time and summed exactly: a float
+    for scalar ``w``, an array of ``w``'s shape otherwise."""
+    w = np.asarray(w, dtype=float)
+    step = max(1, _SUM_BLOCK // w.size)
+
+    def block(rows: slice) -> np.ndarray:
+        return counts[rows, None] * term(w, rows).reshape(-1, w.size)
+
+    if len(counts) <= step:
+        sums = _exact_sums((block(slice(None)),))
+    else:
+        sums = _exact_sums(block(slice(i, i + step)) for i in range(0, len(counts), step))
+    return float(sums[0]) if w.ndim == 0 else sums.reshape(w.shape)
 
 
 def _log10_h2_rows(c_t: np.ndarray, log10_mr: np.ndarray, w) -> np.ndarray:
@@ -202,6 +317,8 @@ class CaseKernel:
     their likelihood ratio is 1 at every ``w``: there ``c_h1`` is
     ``c_t * 10**log10_mr``. Their H1 term is computed by the H2 term's
     expression, so it cancels exactly.
+
+    The per-row methods take ``rows``, a slice, to evaluate only those rows.
     """
 
     x_t: np.ndarray
@@ -225,21 +342,26 @@ class CaseKernel:
         mono = np.flatnonzero(np.all((priors == 0.0) | (priors == 1.0), axis=1))
         return cls(x_t, x_r, counts, first, inverse, c_h1, c_t, log10_mr, mono)
 
-    def log10_h1(self, w) -> np.ndarray:
+    def log10_h1(self, w, rows: slice = slice(None)) -> np.ndarray:
         """Per-row log10 P(x_t, x_r | H1, w, w_r); -inf at a hard exclusion."""
         with np.errstate(divide="ignore"):
-            out = np.log10(_polyval_rows(self.c_h1, w))
+            out = np.log10(_polyval_rows(self.c_h1[rows], w))
         if self.mono.size:
-            out[self.mono] = _log10_h2_rows(self.c_t[self.mono], self.log10_mr[self.mono], w)
+            start, stop, _ = rows.indices(len(self.counts))
+            mono = self.mono[(self.mono >= start) & (self.mono < stop)]
+            out[mono - start] = _log10_h2_rows(self.c_t[mono], self.log10_mr[mono], w)
         return out
 
-    def log10_h2(self, w) -> np.ndarray:
+    def log10_h2(self, w, rows: slice = slice(None)) -> np.ndarray:
         """Per-row log10 P(x_t, x_r | H2, w, w_r)."""
-        return _log10_h2_rows(self.c_t, self.log10_mr, w)
+        return _log10_h2_rows(self.c_t[rows], self.log10_mr[rows], w)
 
-    def total(self, terms: np.ndarray):
-        """Sum over markers of per-row ``terms``, weighted by row counts."""
-        return _fsum_rows(self.counts, terms)
+    def total(self, term, w):
+        """Sum over markers of ``term(w, rows)``, per-row terms such as
+        :meth:`log10_h1`, weighted by row counts; evaluated and summed one
+        block of rows at a time, so no (rows x points) matrix is built.
+        A float for scalar ``w``, an array of ``w``'s shape otherwise."""
+        return _row_total(self.counts, term, w)
 
 
 def joint_table_h1(priors: GenotypePriors, w_t, w_r) -> np.ndarray:
@@ -303,13 +425,13 @@ def lr(x_t, x_r, priors: GenotypePriors, w_t: float, w_r: float) -> float:
 def log10_lik_h1(case: CaseData, w_t, w_r: float):
     """Case-level log10 P(evidence | H1, w_t, w_r); ``w_t`` may be an array."""
     kernel = case.kernel(w_r)
-    return kernel.total(kernel.log10_h1(error_prob_array(w_t)))
+    return kernel.total(kernel.log10_h1, error_prob_array(w_t))
 
 
 def log10_lik_h2(case: CaseData, w_t, w_r: float):
     """Case-level log10 P(evidence | H2, w_t, w_r); ``w_t`` may be an array."""
     kernel = case.kernel(w_r)
-    return kernel.total(kernel.log10_h2(error_prob_array(w_t)))
+    return kernel.total(kernel.log10_h2, error_prob_array(w_t))
 
 
 def check_h2_support(case: CaseData, w_t: float | None, w_r: float) -> None:
@@ -344,7 +466,7 @@ def woe_known(case: CaseData, w_t: float, w_r: float) -> float:
     w_r = validate_error_prob(w_r, "w_r")
     check_h2_support(case, w_t, w_r)
     kernel = case.kernel(w_r)
-    return kernel.total(kernel.log10_h1(w_t) - kernel.log10_h2(w_t))
+    return kernel.total(lambda w, rows: kernel.log10_h1(w, rows) - kernel.log10_h2(w, rows), w_t)
 
 
 def per_marker_log10_lr(case: CaseData, w_t: float, w_r: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .evidence import CaseData, check_h2_support, woe_known
+from .evidence import _SUM_BLOCK, CaseData, _exact_sum, _exact_sums, check_h2_support, woe_known
 from .genotypes import validate_error_prob, validate_integer, validate_positive, validate_real
 from .optimize import maximize_on_interval
 from .scaled_beta import ScaledBeta
@@ -135,10 +135,11 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
 
     One set of ``n_samples`` prior draws is shared across all markers and
     both hypotheses, so the two integrals are evaluated on common random
-    numbers. The estimate is the exact mean (compensated summation) of the
-    per-draw case-level log10 likelihood differences, which makes the
-    result invariant to the marker/draw reduction order. The standard
-    error of that mean over draws is reported alongside.
+    numbers. The estimate is the exact mean of the per-draw case-level
+    log10 likelihood differences (an exact sum, as in ``CaseKernel.total``),
+    which makes the result invariant to the marker/draw reduction order.
+    The standard error of that mean over draws is reported alongside. Rows
+    are taken one block at a time, so memory does not grow with m.
 
     ``prior_h2`` optionally gives H2 its own prior; the H1 draw vector is
     then generated first and an independent H2 vector second, so common
@@ -150,10 +151,27 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
     kernel = case.kernel(w_r)
     draws = prior.sample(rng, n_samples)
     draws_h2 = draws if prior_h2 is None else prior_h2.sample(rng, n_samples)
-    diff = kernel.log10_h1(draws) - kernel.log10_h2(draws_h2)   # (rows, draws)
-    weighted = kernel.counts[:, None] * diff
-    woe = math.fsum(weighted.ravel().tolist()) / n_samples
-    per_draw = weighted.sum(axis=0)
+    step = max(1, _SUM_BLOCK // n_samples)
+    # Row 0 of the buffer carries each draw's sum over the rows before the
+    # block, so the per-draw sums add the rows one by one in order, as one
+    # axis-0 sum over all rows does.
+    buffer = np.empty((step + 1, n_samples))
+    per_draw = None
+
+    def weighted_blocks():
+        nonlocal per_draw
+        for start in range(0, len(kernel.counts), step):
+            rows = slice(start, start + step)
+            diff = kernel.log10_h1(draws, rows) - kernel.log10_h2(draws_h2, rows)
+            weighted = np.multiply(kernel.counts[rows, None], diff, out=buffer[1:len(diff) + 1])
+            if per_draw is None:
+                per_draw = weighted.sum(axis=0)
+            else:
+                buffer[0] = per_draw
+                per_draw = buffer[:len(diff) + 1].sum(axis=0)
+            yield weighted.reshape(-1, 1)
+
+    woe = float(_exact_sums(weighted_blocks())[0]) / n_samples
     se = float(np.std(per_draw, ddof=1) / math.sqrt(n_samples))
     return WoEResult(woe, METHOD_INTEGRATE_MC, mc_std_error=se)
 
@@ -311,18 +329,22 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     if prior_h2 is None:   # monomorphic rows in the H2 form, as in CaseKernel.log10_h1
         i1[kernel.mono] = i2[kernel.mono] + kernel.log10_mr[kernel.mono]
     total = kernel.counts * (i1 - (i2 + kernel.log10_mr))
-    return WoEResult(math.fsum(total.tolist()), METHOD_INTEGRATE_QUAD,
+    return WoEResult(_exact_sum(total), METHOD_INTEGRATE_QUAD,
                      quad_abserr=float(max(err1.max(), err2.max())),
                      quad_fallbacks=fallbacks)
 
 
 def validate_profile_interval(lower, upper,
                               names: tuple[str, str] = ("lower", "upper")) -> tuple[float, float]:
-    """The profile search interval ``0 <= lower < upper <= 0.5`` as floats;
-    ``names`` name the two ends in the error message."""
+    """The profile search interval as floats: ``0 <= lower < upper <= 0.5``
+    and ``lower < 0.5 - 1e-12``, since the search stops that far short of
+    0.5; ``names`` name the two ends in the error message."""
     lower, upper = (validate_real(v, name) for v, name in zip((lower, upper), names))
     if not 0.0 <= lower < upper <= 0.5:
         raise ValueError(f"need 0 <= {names[0]} < {names[1]} <= 0.5, got [{lower!r}, {upper!r}]")
+    if not lower < 0.5 - _HALF_OPEN_MARGIN:
+        raise ValueError(f"need {names[0]} < 0.5 - {_HALF_OPEN_MARGIN!r}, got [{lower!r}, "
+                         f"{upper!r}]: the search interval collapses after excluding 0.5")
     return lower, upper
 
 
@@ -339,11 +361,8 @@ def woe_profile(case: CaseData, w_r: float, lower: float = 0.0,
     lower, upper = validate_profile_interval(lower, upper)
     check_h2_support(case, None, w_r)
     hi = min(upper, 0.5 - _HALF_OPEN_MARGIN)
-    if not lower < hi:
-        raise ValueError(f"search interval [{lower!r}, {upper!r}] collapses "
-                         "after excluding 0.5")
     kernel = case.kernel(w_r)
-    w1, v1 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h1(w)), lower, hi)
-    w2, v2 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h2(w)), lower, hi)
+    w1, v1 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h1, w), lower, hi)
+    w2, v2 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h2, w), lower, hi)
     return WoEResult(v1 - v2, METHOD_PROFILE, w_hat_h1=w1, w_hat_h2=w2)
 

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 
 from snpwoe.evidence import CaseData, MarkerObservation
@@ -45,3 +51,31 @@ def table_frequencies(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     counts = np.zeros((3, 3))
     np.add.at(counts, (x1, x2), 1.0)
     return counts / x1.size
+
+
+def peak_rss_above_case_mb(call: str, setup: str = "", m: int = 100_000) -> float:
+    """Peak RSS in MB that the Python statement ``call`` adds, in a fresh
+    interpreter, above a built ``case`` of ``m`` markers with per-marker q
+    (its ``x_t``, ``x_r`` and ``priors``) and whatever ``setup`` builds
+    from it. ``call`` sees ``np`` and the names ``snpwoe`` exports."""
+    script = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from snpwoe import *
+        from snpwoe.genotypes import hwe_prior_array
+        rng = np.random.default_rng(1)
+        case = CaseData.from_arrays(rng.integers(0, 3, {m}), rng.integers(0, 3, {m}),
+                                    hwe_prior_array(rng.uniform(0.05, 0.95, {m})))
+        {setup}
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        {call}
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) / 1024.0)
+    """).format(m=m, setup=setup, call=call)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return float(proc.stdout)

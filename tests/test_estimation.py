@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_rss_above_case_mb
 from snpwoe.estimation import (
     PairCountTable,
     WEstimate,
@@ -188,3 +189,11 @@ class TestEstimatePerMarker:
     def test_type_checked(self):
         with pytest.raises(TypeError):
             estimate_w_mle_per_marker([(0, 0, PRIORS75)])
+
+    def test_memory_bounded_in_m(self):
+        """The 65-point search grid over m = 10^5 duplicate pairs with
+        per-pair q stays within 150 MB of peak RSS above the built pairs."""
+        setup = ("from snpwoe.genotypes import GenotypePriors; observations = "
+                 "[MarkerObservation(a, b, GenotypePriors(*p)) for a, b, p in "
+                 "zip(case.x_t.tolist(), case.x_r.tolist(), case.priors.tolist())]")
+        assert peak_rss_above_case_mb("estimate_w_mle_per_marker(observations)", setup) < 150.0

@@ -1,17 +1,12 @@
 """Case-level WoE with unknown trace error probability."""
 
 import math
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import markers, random_case
+from conftest import markers, peak_rss_above_case_mb, random_case
 from snpwoe.evidence import (
     CaseData,
     DegenerateCaseError,
@@ -202,29 +197,8 @@ class TestIntegrateQuad:
     def test_memory_bounded_in_m(self):
         """m = 10^5 markers with per-marker q stay within 150 MB of peak RSS
         above the built case; one (rows x nodes) matrix would be 0.8 GB."""
-        script = textwrap.dedent("""
-            import resource
-            import numpy as np
-            from snpwoe.evidence import CaseData
-            from snpwoe.genotypes import hwe_prior_array
-            from snpwoe.scaled_beta import ScaledBeta
-            from snpwoe.unknown_w import woe_integrate_quad
-            m = 100_000
-            rng = np.random.default_rng(1)
-            case = CaseData.from_arrays(rng.integers(0, 3, m), rng.integers(0, 3, m),
-                                        hwe_prior_array(rng.uniform(0.05, 0.95, m)))
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            woe_integrate_quad(case, ScaledBeta.from_moments(1e-3, 1e-6), 1e-4)
-            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            print((after - before) / 1024.0)
-        """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert float(proc.stdout) < 150.0
+        call = "woe_integrate_quad(case, ScaledBeta.from_moments(1e-3, 1e-6), 1e-4)"
+        assert peak_rss_above_case_mb(call) < 150.0
 
     def test_unreachable_tolerance_reports_marker(self):
         case = CaseData((MarkerObservation(0, 0, PRIORS75),), ids=("rs17",))
@@ -315,6 +289,14 @@ class TestIntegrateMc:
                              np.random.default_rng(np.random.SeedSequence(12)))
         assert r.mc_std_error > 0.0
 
+    def test_memory_bounded_in_m(self):
+        """1000 draws over m = 10^5 markers with per-marker q stay within
+        150 MB of peak RSS above the built case; one (rows x draws) matrix
+        would be 0.8 GB."""
+        call = ("woe_integrate_mc(case, ScaledBeta.from_moments(1e-3, 1e-6), 1e-4, "
+                "np.random.default_rng(1), 1000)")
+        assert peak_rss_above_case_mb(call) < 150.0
+
 
 class TestProfile:
     def test_all_match_case_maximizes_h1_at_zero(self):
@@ -364,6 +346,11 @@ class TestProfile:
         case = one_marker_case(1, 1, GenotypePriors(0.5, 0.0, 0.5))
         with pytest.raises(DegenerateCaseError):
             woe_profile(case, w_r=0.0)
+
+    def test_memory_bounded_in_m(self):
+        """The 65-point search grid over m = 10^5 markers with per-marker q
+        stays within 150 MB of peak RSS above the built case."""
+        assert peak_rss_above_case_mb("woe_profile(case, 1e-4)") < 150.0
 
 
 class TestMonomorphicMarkers:

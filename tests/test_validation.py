@@ -51,6 +51,7 @@ FIELDS = {
 NUMBER = "{name} must be a number, got "
 ERROR_PROB = r"{name} must lie in \[0, 0.5\), got "
 INTERVAL = r"need 0 <= {lower} < {upper} <= 0.5, got "
+COLLAPSES = r"need {lower} < 0\.5 - 1e-12, got \[0\.4999999999999, 0\.5\]: the search interval collapses"
 
 # (field, bad value, the rule's message with {name}, {lower}, {upper} to fill)
 TABLE = [
@@ -73,6 +74,7 @@ TABLE = [
     ("profile_lower", True, NUMBER),
     ("profile_lower", 0.5, INTERVAL + r"\[0.5, 0.5\]"),
     ("profile_lower", -INF, INTERVAL + r"\[-inf, 0.5\]"),
+    ("profile_lower", 0.4999999999999, COLLAPSES),
     ("profile_upper", 0.7, INTERVAL + r"\[0.0, 0.7\]"),
     ("profile_upper", INF, INTERVAL + r"\[0.0, inf\]"),
     ("profile_upper", NAN, INTERVAL + r"\[0.0, nan\]"),
