@@ -17,6 +17,8 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -165,56 +167,49 @@ def _select_woe_method(args):
 
 def cmd_woe(args) -> int:
     method, prior = _select_woe_method(args)
+    # Every flag is checked before the case file is read.
     w_r = _flag(validate_error_prob, args.w_r, "--w-r")
-    case = parse_case_file(args.case)
-
-    payload: dict = {"markers": case.m, "w_r": w_r}
-    per_marker_at: tuple[float, float] | None = None
+    payload: dict = {"w_r": w_r}
     if method == "known":
-        w_t = _flag(validate_error_prob, args.w_t, "--w-t")
-        result = woe_known_result(case, w_t, w_r)
-        payload["w_t"] = w_t
-        per_marker_at = (w_t, w_t)
+        w_t = payload["w_t"] = _flag(validate_error_prob, args.w_t, "--w-t")
+        evaluate = partial(woe_known_result, w_t=w_t, w_r=w_r)
     elif method == "plugin":
-        result = woe_plugin(case, w_r)
-        per_marker_at = (w_r, w_r)
+        evaluate = partial(woe_plugin, w_r=w_r)
     elif method == "profile":
         lo, hi = _flag(validate_profile_interval, args.profile_lower, args.profile_upper,
                        ("--profile-lower", "--profile-upper"))
-        result = woe_profile(case, w_r, lo, hi)
-        payload["w_hat_h1"] = result.w_hat_h1
-        payload["w_hat_h2"] = result.w_hat_h2
-        per_marker_at = (result.w_hat_h1, result.w_hat_h2)
+        evaluate = partial(woe_profile, w_r=w_r, lower=lo, upper=hi)
     else:
         payload["prior_shape1"] = prior.alpha
         payload["prior_shape2"] = prior.beta
         payload["prior_mean"] = prior.mean
         payload["prior_variance"] = prior.variance
         if args.integration == "mc":
-            n_samples = _flag(validate_integer, args.mc_samples, "--mc-samples", 2)
-            seed = _flag(validate_integer, args.seed, "--seed", 0)
+            n_samples = payload["mc_samples"] = _flag(validate_integer, args.mc_samples,
+                                                      "--mc-samples", 2)
+            seed = payload["seed"] = _flag(validate_integer, args.seed, "--seed", 0)
             rng = np.random.default_rng(np.random.SeedSequence(seed))
-            result = woe_integrate_mc(case, prior, w_r, rng, n_samples)
-            payload["mc_samples"] = n_samples
-            payload["seed"] = seed
-            payload["mc_std_error"] = result.mc_std_error
+            evaluate = partial(woe_integrate_mc, prior=prior, w_r=w_r, rng=rng,
+                               n_samples=n_samples)
         else:
-            tol = _flag(validate_positive, args.quad_tol, "--quad-tol")
-            result = woe_integrate_quad(case, prior, w_r, tol)
-            payload["quad_tol"] = tol
-            payload["quad_abserr"] = result.quad_abserr
-            payload["quad_fallbacks"] = result.quad_fallbacks
+            tol = payload["quad_tol"] = _flag(validate_positive, args.quad_tol, "--quad-tol")
+            evaluate = partial(woe_integrate_quad, prior=prior, w_r=w_r, tol=tol)
+        if args.per_marker:
+            raise UsageError("--per-marker is not defined for integration methods")
 
-    payload["method"] = result.method
-    payload["woe"] = result.woe
+    case = parse_case_file(args.case)
+    result = evaluate(case)
+    payload["markers"] = case.m
+    payload.update((key, value) for key, value in asdict(result).items() if value is not None)
 
     marker_rows = None
     if args.per_marker:
-        if per_marker_at is None:
-            raise UsageError("--per-marker is not defined for integration methods")
         # Each marker's log10 probability gap between the H1 and H2
         # evaluation points; for profile these are the two maximizers.
-        w1, w2 = per_marker_at
+        if method == "profile":
+            w1, w2 = result.w_hat_h1, result.w_hat_h2
+        else:
+            w1 = w2 = payload.get("w_t", w_r)
         kernel = case.kernel(w_r)
         contributions = (kernel.log10_h1(w1) - kernel.log10_h2(w2))[kernel.inverse]
         marker_rows = [(case.marker_label(i), float(c))

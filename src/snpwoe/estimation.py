@@ -22,8 +22,14 @@ from .evidence import (
     _row_total,
     joint_table_h1,
 )
-from .genotypes import CHANNEL_COEFFS, GenotypePriors, validate_dosage, validate_error_prob
-from .optimize import maximize_on_interval
+from .genotypes import (
+    CHANNEL_COEFFS,
+    GenotypePriors,
+    validate_dosage,
+    validate_error_prob,
+    validate_integer,
+)
+from .optimize import W_SEARCH_MAX, maximize_on_interval
 
 __all__ = [
     "PairCountTable",
@@ -33,9 +39,6 @@ __all__ = [
     "estimate_w_mle_per_marker",
 ]
 
-# Upper end of the likelihood search; the channel is only identifiable
-# below 1/2.
-_W_UPPER = 0.5 - 1e-12
 # Relative gap below which an end point's log-likelihood counts as the
 # maximum: a few hundred rounding errors of the summed log terms.
 _FLAT = 1e-13
@@ -53,14 +56,9 @@ class PairCountTable:
         counts = np.asarray(self.counts)
         if counts.shape != (3, 3):
             raise ValueError(f"pair counts must be 3x3, got shape {counts.shape}")
-        if not np.issubdtype(counts.dtype, np.integer):
-            rounded = np.rint(np.asarray(counts, dtype=float))
-            if np.any(rounded != np.asarray(counts, dtype=float)):
-                raise ValueError("pair counts must be integers")
-            counts = rounded
-        counts = counts.astype(np.int64)
-        if np.any(counts < 0):
-            raise ValueError("pair counts must be nonnegative")
+        counts = np.array([[validate_integer(n, f"pair count [{a}, {b}]", 0)
+                            for b, n in enumerate(row)]
+                           for a, row in enumerate(counts.tolist())], dtype=np.int64)
         if int(counts.sum()) < 1:
             raise ValueError("pair count table must contain at least one pair")
         if not isinstance(self.priors, GenotypePriors):
@@ -124,11 +122,11 @@ def _maximize_rows(priors: np.ndarray, a: np.ndarray, b: np.ndarray,
     def log_lik(w: np.ndarray) -> np.ndarray:
         return _row_total(counts, log_terms, w)
 
-    w_hat, value = maximize_on_interval(log_lik, 0.0, _W_UPPER)
+    w_hat, value = maximize_on_interval(log_lik, 0.0, W_SEARCH_MAX)
     # Toward w = 1/2 the likelihood can be flat to rounding, and where
     # Brent's search stops there is arbitrary: an end point whose value
     # matches the maximum to rounding is the estimate.
-    for end in (0.0, _W_UPPER):
+    for end in (0.0, W_SEARCH_MAX):
         at_end = log_lik(np.array([end]))[0]
         if at_end >= value - _FLAT * max(1.0, abs(value)):
             return WEstimate(end, at_end, True)

@@ -425,13 +425,13 @@ def lr(x_t, x_r, priors: GenotypePriors, w_t: float, w_r: float) -> float:
 def log10_lik_h1(case: CaseData, w_t, w_r: float):
     """Case-level log10 P(evidence | H1, w_t, w_r); ``w_t`` may be an array."""
     kernel = case.kernel(w_r)
-    return kernel.total(kernel.log10_h1, error_prob_array(w_t))
+    return kernel.total(kernel.log10_h1, error_prob_array(w_t, "w_t"))
 
 
 def log10_lik_h2(case: CaseData, w_t, w_r: float):
     """Case-level log10 P(evidence | H2, w_t, w_r); ``w_t`` may be an array."""
     kernel = case.kernel(w_r)
-    return kernel.total(kernel.log10_h2, error_prob_array(w_t))
+    return kernel.total(kernel.log10_h2, error_prob_array(w_t, "w_t"))
 
 
 def check_h2_support(case: CaseData, w_t: float | None, w_r: float) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import typing
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import yaml
@@ -192,15 +192,6 @@ def parse_pair_table_file(path) -> PairCountTable:
     return PairCountTable(counts, priors)
 
 
-_CONFIG_KEYS = {
-    "q_values", "w_t_values", "w_r", "marker_counts", "replicates",
-    "methods", "priors", "master_seed", "mc_samples", "quad_tol",
-    "profile_lower", "profile_upper",
-}
-_REQUIRED_CONFIG_KEYS = {
-    "q_values", "w_t_values", "w_r", "marker_counts", "replicates", "methods",
-}
-_LIST_CONFIG_KEYS = ("q_values", "w_t_values", "marker_counts", "priors")
 _PRIOR_KEYS_MOMENTS = {"id", "mean", "variance"}
 _PRIOR_KEYS_SHAPES = {"id", "shape1", "shape2"}
 
@@ -247,19 +238,23 @@ def load_study_config(path) -> StudyConfig:
         raise ParseError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
         _config_error(path, "config must be a mapping")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    # The keys are StudyConfig's fields: required without a default, and
+    # a list where the field is a tuple.
+    schema = fields(StudyConfig)
+    unknown = sorted(set(data) - {f.name for f in schema})
     if unknown:
         _config_error(path, f"unknown config keys {unknown}")
-    missing = sorted(_REQUIRED_CONFIG_KEYS - set(data))
+    missing = sorted(f.name for f in schema if f.default is MISSING and f.name not in data)
     if missing:
         _config_error(path, f"missing required config keys {missing}")
 
     methods = data["methods"]
     if not isinstance(methods, list) or not all(isinstance(meth, str) for meth in methods):
         _config_error(path, "methods must be a list of strings")
-    for key in _LIST_CONFIG_KEYS:
-        if key in data and not isinstance(data[key], list):
-            _config_error(path, f"{key} must be a list")
+    types = typing.get_type_hints(StudyConfig)
+    for f in schema:
+        if typing.get_origin(types[f.name]) is tuple and not isinstance(data.get(f.name, []), list):
+            _config_error(path, f"{f.name} must be a list")
     priors = [_prior_spec_from_mapping(e, path, i) for i, e in enumerate(data.get("priors", []))]
     try:
         return StudyConfig(**{**data, "priors": tuple(priors)})

@@ -145,18 +145,20 @@ def validate_error_prob(w, name: str = "w") -> float:
     The error model only identifies probabilities below 1/2, so the valid
     domain is [0, 0.5). Returns ``w`` as a plain float.
     """
-    w = validate_real(w, name)
-    if not 0.0 <= w < 0.5:
-        raise ValueError(f"{name} must lie in [0, 0.5), got {w!r}")
-    return w
+    return float(error_prob_array(validate_real(w, name), name))
 
 
-def error_prob_array(w) -> np.ndarray:
-    """``w`` as a float array, checked to lie in [0, 0.5) elementwise."""
-    w = np.asarray(w, dtype=float)
-    if w.size and (np.any(np.isnan(w)) or np.any(w < 0.0) or np.any(w >= 0.5)):
-        raise ValueError("error probabilities must lie in [0, 0.5)")
-    return w
+def error_prob_array(w, name: str = "w") -> np.ndarray:
+    """``w`` as a float array, checked to lie in [0, 0.5) elementwise; a
+    bool or None is not a number, as in :func:`validate_real`."""
+    x = np.asarray(w)
+    if w is None or x.dtype == bool:
+        raise ValueError(f"{name} must be a number, got {w!r}")
+    x = np.asarray(x, dtype=float)
+    ok = (x >= 0.0) & (x < 0.5)
+    if not ok.all():
+        raise ValueError(f"{name} must lie in [0, 0.5), got {x[~ok][0].item()!r}")
+    return x
 
 
 def channel_matrix(w) -> np.ndarray:

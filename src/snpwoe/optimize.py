@@ -12,13 +12,19 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .genotypes import validate_integer
-
 __all__ = ["maximize_on_interval"]
 
+# Searches over an error probability stop this far short of 1/2, where the
+# error channel stops being identifiable.
+HALF_OPEN_MARGIN = 1e-12
+W_SEARCH_MAX = 0.5 - HALF_OPEN_MARGIN
+# Evenly spaced points of the coarse grid, enough that narrow interior
+# modes are not missed, and the absolute tolerance on a refined argmax.
+_N_GRID = 65
+_XATOL = 1e-11
 
-def maximize_on_interval(fn, lower: float, upper: float, n_grid: int = 65,
-                         xatol: float = 1e-11) -> tuple[float, float]:
+
+def maximize_on_interval(fn, lower: float, upper: float) -> tuple[float, float]:
     """Maximize a vectorized scalar function on the closed interval.
 
     Parameters
@@ -29,11 +35,6 @@ def maximize_on_interval(fn, lower: float, upper: float, n_grid: int = 65,
         finite value exists).
     lower, upper : float
         Interval endpoints with ``lower < upper``.
-    n_grid : int
-        Number of evenly spaced evaluation points; at least 32 so narrow
-        interior modes are not missed.
-    xatol : float
-        Absolute tolerance on the refined argmax.
 
     Returns
     -------
@@ -41,8 +42,7 @@ def maximize_on_interval(fn, lower: float, upper: float, n_grid: int = 65,
     """
     if not lower < upper:
         raise ValueError(f"need lower < upper, got [{lower!r}, {upper!r}]")
-    n_grid = validate_integer(n_grid, "n_grid", 32)
-    grid = np.linspace(lower, upper, n_grid)
+    grid = np.linspace(lower, upper, _N_GRID)
     vals = np.asarray(fn(grid), dtype=float)
     if vals.shape != grid.shape:
         raise ValueError("objective must return one value per grid point")
@@ -59,8 +59,8 @@ def maximize_on_interval(fn, lower: float, upper: float, n_grid: int = 65,
     def neg(x: float) -> float:
         return -float(fn(np.array([x]))[0])
 
-    last = n_grid - 1
-    for i in range(n_grid):
+    last = _N_GRID - 1
+    for i in range(_N_GRID):
         if not np.isfinite(vals[i]):
             continue
         left_ok = i == 0 or vals[i] > vals[i - 1]
@@ -70,7 +70,7 @@ def maximize_on_interval(fn, lower: float, upper: float, n_grid: int = 65,
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, last)]
         res = minimize_scalar(neg, bounds=(lo, hi), method="bounded",
-                              options={"xatol": xatol})
+                              options={"xatol": _XATOL})
         cand_val = -float(res.fun)
         if cand_val > best_val:
             best_val = cand_val

@@ -26,7 +26,7 @@ from scipy.integrate import quad
 
 from .evidence import _SUM_BLOCK, CaseData, _exact_sum, _exact_sums, check_h2_support, woe_known
 from .genotypes import validate_error_prob, validate_integer, validate_positive, validate_real
-from .optimize import maximize_on_interval
+from .optimize import HALF_OPEN_MARGIN, W_SEARCH_MAX, maximize_on_interval
 from .scaled_beta import ScaledBeta
 
 __all__ = [
@@ -57,10 +57,6 @@ METHODS = (
     METHOD_INTEGRATE_QUAD,
     METHOD_PROFILE,
 )
-
-# Evaluation points for the profile search never touch 1/2, where the error
-# channel stops being identifiable.
-_HALF_OPEN_MARGIN = 1e-12
 
 # Quantiles this small contribute less than ~1e-80 to any integral here but
 # would underflow squared-probability terms to an un-loggable 0.0.
@@ -342,8 +338,8 @@ def validate_profile_interval(lower, upper,
     lower, upper = (validate_real(v, name) for v, name in zip((lower, upper), names))
     if not 0.0 <= lower < upper <= 0.5:
         raise ValueError(f"need 0 <= {names[0]} < {names[1]} <= 0.5, got [{lower!r}, {upper!r}]")
-    if not lower < 0.5 - _HALF_OPEN_MARGIN:
-        raise ValueError(f"need {names[0]} < 0.5 - {_HALF_OPEN_MARGIN!r}, got [{lower!r}, "
+    if not lower < W_SEARCH_MAX:
+        raise ValueError(f"need {names[0]} < 0.5 - {HALF_OPEN_MARGIN!r}, got [{lower!r}, "
                          f"{upper!r}]: the search interval collapses after excluding 0.5")
     return lower, upper
 
@@ -360,7 +356,7 @@ def woe_profile(case: CaseData, w_r: float, lower: float = 0.0,
     w_r = validate_error_prob(w_r, "w_r")
     lower, upper = validate_profile_interval(lower, upper)
     check_h2_support(case, None, w_r)
-    hi = min(upper, 0.5 - _HALF_OPEN_MARGIN)
+    hi = min(upper, W_SEARCH_MAX)
     kernel = case.kernel(w_r)
     w1, v1 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h1, w), lower, hi)
     w2, v2 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h2, w), lower, hi)

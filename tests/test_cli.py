@@ -191,6 +191,53 @@ class TestWoeCommand:
         assert "rs1" in capsys.readouterr().err
 
 
+COMMON_KEYS = {"markers", "method", "w_r", "woe"}
+PRIOR_KEYS = COMMON_KEYS | {"prior_mean", "prior_shape1", "prior_shape2", "prior_variance"}
+
+
+@pytest.mark.parametrize("flags, keys", [
+    (["--w-t", "1e-3"], COMMON_KEYS | {"w_t"}),
+    (["--plugin"], COMMON_KEYS),
+    (["--profile"], COMMON_KEYS | {"w_hat_h1", "w_hat_h2"}),
+    (["--prior-mean", "1e-3", "--prior-var", "1e-8"],
+     PRIOR_KEYS | {"mc_samples", "seed", "mc_std_error"}),
+    (["--prior-mean", "1e-3", "--prior-var", "1e-8", "--integration", "quad"],
+     PRIOR_KEYS | {"quad_tol", "quad_abserr", "quad_fallbacks"}),
+])
+def test_woe_json_keys(case_path, capsys, flags, keys):
+    """Each method's payload: the inputs it used and its result's fields."""
+    assert set(run_json(capsys, ["woe", str(case_path), "--w-r", "1e-4", *flags, "--json"])) == keys
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--w-t", "0.7"], "--w-t"),
+    (["--profile", "--profile-lower", "0.6"], "--profile-lower"),
+    (["--prior-mean", "1e-3", "--prior-var", "1e-6", "--mc-samples", "1.5"], "--mc-samples"),
+    (["--prior-mean", "1e-3", "--prior-var", "1e-6", "--seed", "-1"], "--seed"),
+    (["--prior-mean", "1e-3", "--prior-var", "1e-6", "--integration", "quad",
+      "--quad-tol", "0"], "--quad-tol"),
+    (["--prior-mean", "1e-3", "--prior-var", "1e-6", "--per-marker"], "--per-marker"),
+])
+def test_woe_flags_checked_before_case_file(tmp_path, capsys, flags, flag):
+    """A bad flag is a usage error even when the case file does not exist."""
+    assert main(["woe", str(tmp_path / "missing.csv"), "--w-r", "1e-4", *flags]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err.splitlines()[0]
+
+
+@pytest.mark.parametrize("integration", ["mc", "quad"])
+def test_per_marker_with_prior_integrates_nothing(case_path, capsys, monkeypatch, integration):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before rejecting --per-marker")
+
+    monkeypatch.setattr("snpwoe.cli.woe_integrate_mc", never)
+    monkeypatch.setattr("snpwoe.cli.woe_integrate_quad", never)
+    assert main(["woe", str(case_path), "--w-r", "1e-4", "--prior-mean", "1e-3",
+                 "--prior-var", "1e-6", "--integration", integration,
+                 "--per-marker"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: --per-marker is not defined")
+
+
 class TestMalformedInput:
     """Unreadable input is a data error (exit 3) whose message starts with
     the file's path; a bad flag value is a usage error (exit 2)."""

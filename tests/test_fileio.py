@@ -196,10 +196,19 @@ priors:
 master_seed: 7
 mc_samples: 500
 quad_tol: 1e-7
-profile_lower: 0.0
+profile_lower: 0.01
 profile_upper: 0.4
 """)
         cfg = load_study_config(p)
+        # every optional key is set to a value other than its default
+        assert cfg == StudyConfig(
+            q_values=(0.75, 0.9), w_t_values=(1e-4, 1e-2), w_r=1e-4,
+            marker_counts=(50, 200), replicates=25,
+            methods=("true-w", "plug-in", "integrate-mc", "integrate-quad", "profile"),
+            priors=(PriorSpec("tight", ScaledBeta.from_moments(1e-4, 5e-9)),
+                    PriorSpec("uniform", ScaledBeta(1.0, 1.0))),
+            master_seed=7, mc_samples=500, quad_tol=1e-7, profile_lower=0.01,
+            profile_upper=0.4)
         assert cfg.q_values == (0.75, 0.9)
         # plain-YAML scientific notation arrives as a string and is coerced
         assert cfg.w_t_values == (1e-4, 1e-2) and cfg.w_r == 1e-4
@@ -232,6 +241,15 @@ methods: [true-w]
             load_study_config(self.write(tmp_path, base + "bogus: 1\n"))
         with pytest.raises(ParseError, match="missing required"):
             load_study_config(self.write(tmp_path, "q_values: [0.75]\n"))
+        for line in base.splitlines():
+            key = line.split(":")[0]
+            with pytest.raises(ParseError, match=rf": missing required config keys \['{key}'\]$"):
+                load_study_config(self.write(tmp_path, base.replace(line + "\n", "")))
+        for key in ("q_values", "w_t_values", "marker_counts", "priors"):
+            text = f"{key}: 5\n" + "".join(f"{line}\n" for line in base.splitlines()
+                                           if not line.startswith(f"{key}:"))
+            with pytest.raises(ParseError, match=rf": {key} must be a list$"):
+                load_study_config(self.write(tmp_path, text))
         with pytest.raises(ParseError, match="must be a number"):
             load_study_config(self.write(
                 tmp_path, base.replace("w_r: 1e-4", "w_r: true")))

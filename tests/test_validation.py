@@ -5,21 +5,23 @@ tolerance, an error probability in [0, 0.5), the profile interval) has one
 definition, and every front end calls it with its own name for the value:
 the library raises ``ValueError``, ``StudyConfig`` raises ``ValueError``,
 the YAML loader raises ``ParseError`` naming the file and the key (the CLI
-then exits 3), and a bad ``snpwoe woe`` flag exits 2.
+then exits 3), and a bad ``snpwoe woe`` flag exits 2. Arrays of error
+probabilities and the counts of a pair-count table follow the same rules.
 """
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from snpwoe import ScaledBeta, StudyConfig, hwe_priors
 from snpwoe.cli import EXIT_DATA, EXIT_USAGE, main
-from snpwoe.evidence import CaseData
+from snpwoe.estimation import PairCountTable
+from snpwoe.evidence import CaseData, joint_table_h1, joint_table_h2, log10_lik_h1, log10_lik_h2
 from snpwoe.fileio import ParseError, load_study_config
-from snpwoe.genotypes import hwe_prior_array
-from snpwoe.optimize import maximize_on_interval
+from snpwoe.genotypes import channel_matrix, hwe_prior_array
 from snpwoe.study import simulate_case, simulate_overdispersed_table
 from snpwoe.unknown_w import woe_integrate_mc, woe_integrate_quad, woe_plugin, woe_profile
 
@@ -178,6 +180,8 @@ def test_prior_values(tmp_path, capsys, entry, flags, want):
 
 RNG = np.random.default_rng(0)
 PRIORS75 = hwe_priors(0.75)
+COUNTS_INF = np.eye(3)
+COUNTS_INF[0, 1] = INF
 
 
 @pytest.mark.parametrize("call, want", [
@@ -191,7 +195,19 @@ PRIORS75 = hwe_priors(0.75)
     (lambda: simulate_overdispersed_table(10.7, PRIOR, PRIORS75, RNG),
      "n_sites must be an integer, got 10.7"),
     (lambda: hwe_priors(True), "q must be a number"),
-    (lambda: maximize_on_interval(np.sin, 0.0, 1.0, n_grid=40.5), "n_grid must be an integer"),
+    (lambda: log10_lik_h1(CASE, False, 1e-4), "w_t must be a number"),
+    (lambda: log10_lik_h2(CASE, np.array([True, False]), 1e-4), "w_t must be a number"),
+    (lambda: log10_lik_h1(CASE, [1e-3, 0.7, 0.6], 1e-4), r"w_t must lie in \[0, 0.5\), got 0.7"),
+    (lambda: channel_matrix(False), "w must be a number"),
+    (lambda: channel_matrix(None), "w must be a number"),
+    (lambda: joint_table_h1(PRIORS75, False, 1e-4), "w must be a number"),
+    (lambda: joint_table_h2(PRIORS75, 1e-3, [0.1, NAN]), r"w must lie in \[0, 0.5\), got nan"),
+    (lambda: PairCountTable(np.eye(3, dtype=bool), PRIORS75),
+     r"pair count \[0, 0\] must be a number, got True"),
+    (lambda: PairCountTable(COUNTS_INF, PRIORS75), r"pair count \[0, 1\] must be an integer, got inf"),
+    (lambda: PairCountTable(np.eye(3) / 2, PRIORS75), r"pair count \[0, 0\] must be an integer, got 0.5"),
+    (lambda: PairCountTable(np.eye(3, dtype=int) - 1, PRIORS75),
+     r"pair count \[0, 1\] must be nonnegative, got -1"),
     (lambda: StudyConfig(q_values=(True,), w_t_values=(1e-3,), w_r=1e-4, marker_counts=(6,),
                          replicates=2, methods=("true-w",)), r"q_values\[0\] must be a number"),
     (lambda: StudyConfig(q_values=(0.75,), w_t_values=(1e-3,), w_r=False, marker_counts=(6,),
@@ -202,9 +218,13 @@ PRIORS75 = hwe_priors(0.75)
                          replicates=2, methods=("true-w",)), r"marker_counts\[1\] must be an integer"),
 ])
 def test_library_rejects_what_it_used_to_coerce(call, want):
-    """Bools, fractions and infinities are rejected, not cast or truncated."""
-    with pytest.raises(ValueError, match="^" + want):
-        call()
+    """Bools, fractions and infinities are rejected, not cast or truncated,
+    in arrays of error probabilities and pair counts too, without a numpy
+    cast warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + want):
+            call()
 
 
 def test_numeric_strings_are_numbers():
