@@ -283,6 +283,8 @@ def _row_total(counts: np.ndarray, term, w):
     evaluated for one block of rows at a time and summed exactly: a float
     for scalar ``w``, an array of ``w``'s shape otherwise."""
     w = np.asarray(w, dtype=float)
+    if not w.size:
+        return np.empty(w.shape)
     step = max(1, _SUM_BLOCK // w.size)
 
     def block(rows: slice) -> np.ndarray:

@@ -19,7 +19,7 @@ import yaml
 
 from .estimation import PairCountTable
 from .evidence import CaseData
-from .genotypes import GenotypePriors, hwe_prior_array, hwe_priors
+from .genotypes import GenotypePriors, hwe_prior_array, hwe_priors, validate_allele_freq
 from .scaled_beta import ScaledBeta
 from .study import (
     EceRow,
@@ -61,6 +61,14 @@ def _parse_float(text: str, path, line: int, column: str) -> float:
         return float(text)
     except ValueError:
         _fail(path, line, f"column {column!r}: {text!r} is not a number")
+
+
+def _parse_allele_freq(text: str, path, line: int) -> float:
+    q = _parse_float(text, path, line, "q")
+    try:
+        return validate_allele_freq(q)
+    except ValueError as exc:
+        _fail(path, line, f"column 'q': {exc}")
 
 
 def _parse_dosage(text: str, path, line: int, column: str) -> int:
@@ -142,10 +150,7 @@ def parse_case_file(path) -> CaseData:
         x_t.append(_parse_dosage(row[1], path, line, "x_t"))
         x_r.append(_parse_dosage(row[2], path, line, "x_r"))
         if use_q:
-            q = _parse_float(row[3], path, line, "q")
-            if math.isnan(q) or not 0.0 < q < 1.0:
-                _fail(path, line, f"column 'q': allele frequency must lie in (0, 1), got {q!r}")
-            priors.append(q)
+            priors.append(_parse_allele_freq(row[3], path, line))
         else:
             parts = [_parse_float(row[3 + i], path, line, f"p{i}") for i in range(3)]
             priors.append(_priors_from_row(parts, path, line))
@@ -166,10 +171,7 @@ def parse_pair_table_file(path) -> PairCountTable:
                          f"nonblank lines, got {len(rows)}")
     line, spec = rows[0]
     if spec[0] == "q" and len(spec) == 2:
-        q = _parse_float(spec[1], path, line, "q")
-        if math.isnan(q) or not 0.0 < q < 1.0:
-            _fail(path, line, f"allele frequency must lie in (0, 1), got {q!r}")
-        priors = hwe_priors(q)
+        priors = hwe_priors(_parse_allele_freq(spec[1], path, line))
     elif spec[0] == "p" and len(spec) == 4:
         parts = [_parse_float(spec[1 + i], path, line, f"p{i}") for i in range(3)]
         priors = GenotypePriors(*_priors_from_row(parts, path, line))

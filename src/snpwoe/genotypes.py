@@ -66,10 +66,16 @@ def hwe_priors(q: float) -> GenotypePriors:
         allele count, dosage 0 has probability ``q**2``, dosage 1 has
         ``2*q*(1 - q)``, dosage 2 has ``(1 - q)**2``.
     """
-    q = validate_real(q, "q")
+    return GenotypePriors(*hwe_prior_array(validate_allele_freq(q)).tolist())
+
+
+def validate_allele_freq(q, name: str = "q") -> float:
+    """``q`` as a float allele frequency in (0, 1]; at 1 the marker is
+    monomorphic."""
+    q = validate_real(q, name)
     if not 0.0 < q <= 1.0:
-        raise ValueError(f"allele frequency q must lie in (0, 1], got {q!r}")
-    return GenotypePriors(*hwe_prior_array(q).tolist())
+        raise ValueError(f"allele frequency {name} must lie in (0, 1], got {q!r}")
+    return q
 
 
 def validate_dosage(d, name: str = "genotype dosage"):

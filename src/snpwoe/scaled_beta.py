@@ -44,6 +44,11 @@ class ScaledBeta:
                 raise ValueError(f"shape {name} must be a finite positive number, got {v!r}")
             object.__setattr__(self, name, v)
 
+    def __getstate__(self) -> dict:
+        # Pickles and copies carry the shapes only, not what quadrature keeps
+        # on the instance.
+        return {"alpha": self.alpha, "beta": self.beta}
+
     @classmethod
     def from_moments(cls, mean: float, variance: float) -> "ScaledBeta":
         """Solve the shapes so the scaled variable has the given moments.

@@ -27,10 +27,10 @@ from .evidence import CaseData
 from .genotypes import (
     GenotypePriors,
     hwe_priors,
+    validate_allele_freq,
     validate_error_prob,
     validate_integer,
     validate_positive,
-    validate_real,
 )
 from .scaled_beta import ScaledBeta
 from .unknown_w import (
@@ -121,9 +121,7 @@ def _checked_tuple(values, name: str, check, *args) -> tuple:
 def _set_shared_fields(config) -> None:
     """Check and normalize the fields both study configs have: ``q_values``,
     ``priors``, ``replicates`` and ``master_seed``."""
-    q_values = _checked_tuple(config.q_values, "q_values", validate_real)
-    for q in q_values:
-        hwe_priors(q)   # checks 0 < q <= 1
+    q_values = _checked_tuple(config.q_values, "q_values", validate_allele_freq)
     priors = tuple(config.priors)
     for spec in priors:
         if not isinstance(spec, PriorSpec):

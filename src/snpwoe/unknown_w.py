@@ -250,6 +250,18 @@ _QUAD_BLOCK = 128
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
+def _node_quantiles(prior: ScaledBeta) -> np.ndarray:
+    """The prior's quantiles at the quadrature nodes, floored at ``_W_FLOOR``;
+    computed on first use and kept read-only on this prior instance, as
+    ``CaseData.kernel`` keeps its kernels on the case."""
+    w = prior.__dict__.get("_node_quantiles")
+    if w is None:
+        w = np.maximum(prior.quantile(_QUAD_NODES), _W_FLOOR)
+        w.flags.writeable = False
+        prior.__dict__["_node_quantiles"] = w
+    return w
+
+
 def _gk21_rows(coeffs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the composite K21 integral of ``log10(c0 + w*(c1 + w*c2))``
     over the prior-CDF nodes (``w`` are their floored quantiles) and its
@@ -286,8 +298,9 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     replaces the prior in the H2 integrals.
 
     Every row of the case kernel is integrated by one fixed composite
-    Gauss-Kronrod 10/21 rule, vectorized over rows, with the prior
-    quantiles computed once per call. A row integral whose error estimate
+    Gauss-Kronrod 10/21 rule, vectorized over rows. The prior's quantiles
+    at the rule's nodes are computed once per ``ScaledBeta`` instance, on
+    its first use here, and kept on it. A row integral whose error estimate
     exceeds ``tol / 2`` is redone by adaptive ``scipy.integrate.quad``;
     ``QuadratureError`` is raised when that fails to reach ``tol``. The
     result reports the largest per-row error estimate and the number of
@@ -297,8 +310,8 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     tol = validate_positive(tol, "tol")
     check_h2_support(case, None, w_r)
     kernel = case.kernel(w_r)
-    w = np.maximum(prior.quantile(_QUAD_NODES), _W_FLOOR)
-    w_h2 = w if prior_h2 is None else np.maximum(prior_h2.quantile(_QUAD_NODES), _W_FLOOR)
+    w = _node_quantiles(prior)
+    w_h2 = w if prior_h2 is None else _node_quantiles(prior_h2)
     i1, err1 = _gk21_rows(kernel.c_h1, w)
     i2, err2 = _gk21_rows(kernel.c_t, w_h2)
     ok = np.ones(len(i1), dtype=bool)

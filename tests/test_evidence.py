@@ -321,3 +321,10 @@ class TestCaseLogLikelihoods:
         out = log10_lik_h1(case, ws, 1e-4)
         assert out.shape == (3,)
         assert math.isclose(out[1], log10_lik_h1(case, 1e-2, 1e-4), rel_tol=1e-14)
+
+    @pytest.mark.parametrize("lik", [log10_lik_h1, log10_lik_h2])
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_w_gives_empty_array(self, lik, shape):
+        case = random_case(np.random.default_rng(7), m=8)
+        out = lik(case, np.zeros(shape), 1e-4)
+        assert isinstance(out, np.ndarray) and out.shape == shape

@@ -64,6 +64,11 @@ class TestParseCaseFile:
                                         [p75.p0, p75.p1, p75.p2]]
         assert len(np.unique(case.priors, axis=0)) == 2
 
+    def test_q_one_is_monomorphic(self, tmp_path):
+        p = tmp_path / "case.csv"
+        p.write_text("marker_id,x_t,x_r,q\nrs1,0,0,0.75\nrs2,0,0,1.0\n")
+        assert parse_case_file(p).priors[1].tolist() == [1.0, 0.0, 0.0]
+
     def test_explicit_priors_form_renormalizes(self, tmp_path):
         p = tmp_path / "case.csv"
         p.write_text(
@@ -105,8 +110,8 @@ class TestParseCaseFile:
         p.write_text("marker_id,x_t,x_r,q\nrs1,0,0\n")
         with pytest.raises(ParseError, match="expected 4 columns, got 3"):
             parse_case_file(p)
-        p.write_text("marker_id,x_t,x_r,q\nrs1,0,0,1.0\n")
-        with pytest.raises(ParseError, match=r"\(0, 1\)"):
+        p.write_text("marker_id,x_t,x_r,q\nrs1,0,0,0.75\nrs2,0,0,1.5\n")
+        with pytest.raises(ParseError, match=rf"{p}:3: column 'q': .*\(0, 1\], got 1.5"):
             parse_case_file(p)
         p.write_text("marker_id,x_t,x_r,q\nrs1,0,0,0.75\nrs1,1,1,0.75\n")
         with pytest.raises(ParseError, match="duplicate marker_id"):
@@ -171,9 +176,12 @@ class TestParsePairTableFile:
         p.write_text("q,0.9\n,0,1,2\n0,0,0,0\n1,0,0,0\n2,0,0,0\n")
         with pytest.raises(ParseError, match="at least one pair"):
             parse_pair_table_file(p)
-        p.write_text("q,1.0\n,0,1,2\n0,1,0,0\n1,0,1,0\n2,0,0,1\n")
-        with pytest.raises(ParseError, match=r"\(0, 1\)"):
+        p.write_text("q,0.0\n,0,1,2\n0,1,0,0\n1,0,1,0\n2,0,0,1\n")
+        with pytest.raises(ParseError, match=rf"{p}:1: .*\(0, 1\], got 0.0"):
             parse_pair_table_file(p)
+        # q = 1 is the rule hwe_priors and StudyConfig use: a monomorphic prior.
+        p.write_text("q,1.0\n,0,1,2\n0,1,0,0\n1,0,1,0\n2,0,0,1\n")
+        assert parse_pair_table_file(p).priors == hwe_priors(1.0)
 
 
 class TestLoadStudyConfig:

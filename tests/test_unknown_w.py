@@ -1,6 +1,9 @@
 """Case-level WoE with unknown trace error probability."""
 
+import copy
 import math
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +20,10 @@ from snpwoe.evidence import (
     log10_lik_h2,
     woe_known,
 )
+from snpwoe.fileio import load_study_config
 from snpwoe.genotypes import GenotypePriors, hwe_priors
 from snpwoe.scaled_beta import ScaledBeta
+from snpwoe.study import run_woe_study
 from snpwoe.unknown_w import (
     METHOD_INTEGRATE_MC,
     METHOD_INTEGRATE_QUAD,
@@ -216,6 +221,71 @@ class TestIntegrateQuad:
         case = one_marker_case(0, 2, GenotypePriors(1.0, 0.0, 0.0))
         with pytest.raises(DegenerateCaseError):
             woe_integrate_quad(case, UNIFORM, w_r=0.0)
+
+
+class TestNodeQuantilesPerPrior:
+    """The quadrature rule's node quantiles are computed once per prior
+    instance and kept on it; results do not depend on that."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        quantile = ScaledBeta.quantile
+
+        def counted(prior, p):
+            made.append(prior)
+            return quantile(prior, p)
+
+        monkeypatch.setattr(ScaledBeta, "quantile", counted)
+        return made
+
+    def test_full_study_computes_them_once_per_prior(self, calls):
+        path = Path(__file__).resolve().parents[1] / "perfbench/configs/woe_study_full_1rep.yaml"
+        config = load_study_config(path)
+        run_woe_study(config)
+        assert len(config.priors) == 2
+        assert calls == [spec.dist for spec in config.priors]
+
+    def test_second_call_and_h2_prior(self, calls):
+        case = random_case(np.random.default_rng(3), m=30)
+        prior, prior_h2 = ScaledBeta(0.6, 2.4), ScaledBeta.from_moments(1e-3, 1e-6)
+        woe_integrate_quad(case, prior, w_r=1e-4)
+        assert len(calls) == 1
+        woe_integrate_quad(case, prior, w_r=1e-4)
+        woe_integrate_quad(case, prior, w_r=1e-4, prior_h2=prior)
+        assert len(calls) == 1
+        woe_integrate_quad(case, prior, w_r=1e-4, prior_h2=prior_h2)
+        woe_integrate_quad(case, prior, w_r=1e-4, prior_h2=prior_h2)
+        assert calls == [prior, prior_h2]
+
+    def test_held_array_is_read_only(self):
+        prior = ScaledBeta(0.6, 2.4)
+        woe_integrate_quad(one_marker_case(0, 1), prior, w_r=1e-4)
+        (held,) = [v for v in vars(prior).values() if isinstance(v, np.ndarray)]
+        with pytest.raises(ValueError):
+            held[0] = 0.25
+
+    def test_fresh_and_reused_priors_agree_bitwise(self):
+        case = random_case(np.random.default_rng(4), m=40)
+        shapes, shapes_h2 = (0.6, 2.4), (2.0, 300.0)
+        reused, reused_h2 = ScaledBeta(*shapes), ScaledBeta(*shapes_h2)
+        for prior_h2 in (None, reused_h2):
+            first = woe_integrate_quad(case, reused, w_r=1e-4, prior_h2=prior_h2)
+            again = woe_integrate_quad(case, reused, w_r=1e-4, prior_h2=prior_h2)
+            fresh = woe_integrate_quad(case, ScaledBeta(*shapes), w_r=1e-4,
+                                       prior_h2=None if prior_h2 is None else ScaledBeta(*shapes_h2))
+            assert first == again == fresh
+            assert first.woe.hex() == fresh.woe.hex()
+
+    def test_prior_looks_the_same_after_use(self):
+        prior = ScaledBeta.from_moments(1e-4, 5e-9)
+        before = (repr(prior), hash(prior), pickle.dumps(prior))
+        woe_integrate_quad(one_marker_case(1, 1), prior, w_r=1e-4)
+        fresh = ScaledBeta.from_moments(1e-4, 5e-9)
+        assert (repr(prior), hash(prior), pickle.dumps(prior)) == before
+        assert prior == fresh and fresh == prior and hash(fresh) == hash(prior)
+        assert vars(pickle.loads(pickle.dumps(prior))) == vars(fresh)
+        assert vars(copy.deepcopy(prior)) == vars(fresh)
 
 
 class TestIntegrateMc:
