@@ -122,9 +122,9 @@ def _maximize_rows(priors: np.ndarray, a: np.ndarray, b: np.ndarray,
     def log_lik(w: np.ndarray) -> np.ndarray:
         return _row_total(counts, log_terms, w)
 
-    w_hat, value = maximize_on_interval(log_lik, 0.0, W_SEARCH_MAX)
+    w_hat, value = maximize_on_interval(log_lik, 0.0, W_SEARCH_MAX, quartic, counts)
     # Toward w = 1/2 the likelihood can be flat to rounding, and where
-    # Brent's search stops there is arbitrary: an end point whose value
+    # the search stops there is arbitrary: an end point whose value
     # matches the maximum to rounding is the estimate.
     for end in (0.0, W_SEARCH_MAX):
         at_end = log_lik(np.array([end]))[0]

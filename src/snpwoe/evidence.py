@@ -157,7 +157,9 @@ class CaseData:
     def kernel(self, w_r: float) -> CaseKernel:
         """The case's likelihood coefficients at reference error probability
         ``w_r``; built once per ``w_r`` and kept on this instance."""
-        w_r = validate_error_prob(w_r, "w_r")
+        return self._kernel(validate_error_prob(w_r, "w_r"))
+
+    def _kernel(self, w_r: float) -> CaseKernel:
         if w_r not in self._kernels:
             self._kernels[w_r] = CaseKernel.build(*self._rows, w_r)
         return self._kernels[w_r]
@@ -339,7 +341,7 @@ class CaseKernel:
         coef_t = CHANNEL_COEFFS[:, :, x_t]        # (j, z, k): A_j[z, x_t]
         c_t = np.einsum("kz,jzk->kj", priors, coef_t)
         c_h1 = np.einsum("kz,zk,jzk->kj", priors, t_r, coef_t)
-        with np.errstate(divide="ignore"):  # -inf is rejected by check_h2_support
+        with np.errstate(divide="ignore"):  # -inf is rejected by _supported_kernel
             log10_mr = np.log10(np.einsum("kz,zk->k", priors, t_r))
         mono = np.flatnonzero(np.all((priors == 0.0) | (priors == 1.0), axis=1))
         return cls(x_t, x_r, counts, first, inverse, c_h1, c_t, log10_mr, mono)
@@ -436,15 +438,16 @@ def log10_lik_h2(case: CaseData, w_t, w_r: float):
     return kernel.total(kernel.log10_h2, error_prob_array(w_t, "w_t"))
 
 
-def check_h2_support(case: CaseData, w_t: float | None, w_r: float) -> None:
-    """Raise ``DegenerateCaseError`` if any observed marker is impossible
-    under H2, naming the first offending marker.
+def _supported_kernel(case: CaseData, w_t: float | None, w_r: float) -> CaseKernel:
+    """The case's kernel at ``w_r``, once no observed marker is impossible
+    under H2; else ``DegenerateCaseError`` naming the first offending marker.
+    Both error probabilities are floats its public callers have checked.
 
     With ``w_t=None`` only the reference side is checked; that suffices for
     methods that keep the trace error probability strictly inside (0, 1/2),
     where the trace marginal is everywhere positive.
     """
-    kernel = case.kernel(w_r)
+    kernel = case._kernel(w_r)
     bad = np.isneginf(kernel.log10_mr)
     if w_t is not None:
         bad |= _polyval_rows(kernel.c_t, w_t) == 0.0
@@ -454,6 +457,7 @@ def check_h2_support(case: CaseData, w_t: float | None, w_r: float) -> None:
             f"marker {case.marker_label(int(kernel.first[row]))}: observed pair "
             f"({kernel.x_t[row]}, {kernel.x_r[row]}) has probability zero under H2"
         )
+    return kernel
 
 
 def woe_known(case: CaseData, w_t: float, w_r: float) -> float:
@@ -464,10 +468,9 @@ def woe_known(case: CaseData, w_t: float, w_r: float) -> float:
     (a clean exclusion at zero error); raises ``DegenerateCaseError`` when
     a marker is impossible under H2.
     """
+    w_r = validate_error_prob(w_r, "w_r")   # first, so woe_plugin's errors name w_r
     w_t = validate_error_prob(w_t, "w_t")
-    w_r = validate_error_prob(w_r, "w_r")
-    check_h2_support(case, w_t, w_r)
-    kernel = case.kernel(w_r)
+    kernel = _supported_kernel(case, w_t, w_r)
     return kernel.total(lambda w, rows: kernel.log10_h1(w, rows) - kernel.log10_h2(w, rows), w_t)
 
 
@@ -475,6 +478,5 @@ def per_marker_log10_lr(case: CaseData, w_t: float, w_r: float) -> np.ndarray:
     """log10 likelihood ratio of each marker in case order."""
     w_t = validate_error_prob(w_t, "w_t")
     w_r = validate_error_prob(w_r, "w_r")
-    check_h2_support(case, w_t, w_r)
-    kernel = case.kernel(w_r)
+    kernel = _supported_kernel(case, w_t, w_r)
     return (kernel.log10_h1(w_t) - kernel.log10_h2(w_t))[kernel.inverse]

@@ -1,16 +1,20 @@
 """Bounded scalar maximization used by the profile method and the MLE.
 
-The objectives here (profile log-likelihoods over an error probability) are
+The objectives here are log-likelihoods over an error probability ``w``,
+``sum_i counts[i] * log p_i(w)`` with each ``p_i`` a polynomial. They are
 smooth but can be multimodal, so a single local search is not safe. The
-strategy is a coarse evaluation grid followed by a bounded derivative-free
-refinement around every local maximum of the grid, keeping the best point
-found overall.
+objective is evaluated on a coarse grid, then every local maximum of the
+grid is refined at once by safeguarded Newton steps on the exact slope and
+curvature, which the polynomials' coefficients give. The objective is
+evaluated once more, on the refined points, and the best point found
+overall is kept: the slopes only steer, the maximum is the objective's own.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+
+from .evidence import _SUM_BLOCK, _polyval_rows
 
 __all__ = ["maximize_on_interval"]
 
@@ -19,22 +23,55 @@ __all__ = ["maximize_on_interval"]
 HALF_OPEN_MARGIN = 1e-12
 W_SEARCH_MAX = 0.5 - HALF_OPEN_MARGIN
 # Evenly spaced points of the coarse grid, enough that narrow interior
-# modes are not missed, and the absolute tolerance on a refined argmax.
+# modes are not missed, and the bracket width at which a refinement stops.
 _N_GRID = 65
 _XATOL = 1e-11
+# A Newton step this small relative to its point is rounding: the point is
+# the maximum. Bisection alone needs about 30 steps from a grid bracket.
+_STEP_RTOL = 4.0 * np.finfo(float).eps
+_MAX_STEPS = 100
 
 
-def maximize_on_interval(fn, lower: float, upper: float) -> tuple[float, float]:
-    """Maximize a vectorized scalar function on the closed interval.
+def _log_slopes(coeffs, d1, d2, counts, w):
+    """Slope and curvature at each point of the 1-D ``w`` of
+    ``sum_i counts[i] * log p_i``, ``p_i`` the polynomial ``coeffs[i]`` with
+    derivatives ``d1[i]`` and ``d2[i]``; one block of rows at a time."""
+    slope = np.zeros(len(w))
+    curve = np.zeros(len(w))
+    step = max(1, _SUM_BLOCK // len(w))
+    for start in range(0, len(counts), step):
+        rows = slice(start, start + step)
+        p = _polyval_rows(coeffs[rows], w)
+        r1 = _polyval_rows(d1[rows], w) / p
+        r2 = _polyval_rows(d2[rows], w) / p
+        n = counts[rows, None]
+        slope += (n * r1).sum(axis=0)
+        curve += (n * (r2 - r1 * r1)).sum(axis=0)
+    return slope, curve
+
+
+def maximize_on_interval(fn, lower: float, upper: float, coeffs: np.ndarray,
+                         counts: np.ndarray) -> tuple[float, float]:
+    """Maximize a vectorized log-likelihood on the closed interval.
 
     Parameters
     ----------
     fn : callable
-        Maps an ndarray of points to an ndarray of objective values;
-        ``-inf`` values are tolerated (treated as never optimal when any
-        finite value exists).
+        Maps an ndarray of points to an ndarray of objective values: up to
+        a positive factor and an additive constant, ``sum_i counts[i] *
+        log p_i(w)``. ``-inf`` values are tolerated (treated as never
+        optimal when any finite value exists).
     lower, upper : float
         Interval endpoints with ``lower < upper``.
+    coeffs : ndarray, shape (k, d + 1), d >= 2
+        Each ``p_i``'s coefficients, lowest degree first; they steer the
+        search through the slope and curvature of the sum.
+    counts : ndarray, shape (k,)
+        The weight of each ``log p_i``.
+
+    A grid maximum at an end of the interval whose slope points outward is
+    that end, exactly. ``fn`` is called twice: on the grid and on the
+    refined points.
 
     Returns
     -------
@@ -56,23 +93,34 @@ def maximize_on_interval(fn, lower: float, upper: float) -> tuple[float, float]:
         # Degenerate objective, nothing to refine.
         return best_x, best_val
 
-    def neg(x: float) -> float:
-        return -float(fn(np.array([x]))[0])
+    rising = np.concatenate(([True], vals[1:] > vals[:-1]))
+    falling = np.concatenate((vals[:-1] >= vals[1:], [True]))
+    peaks = np.flatnonzero(np.isfinite(vals) & rising & falling)
+    # Each peak's bracket, narrowed to a point with rising slope (lo) and
+    # one with falling slope (hi) as the steps go.
+    x = grid[peaks]
+    lo = grid[np.maximum(peaks - 1, 0)]
+    hi = grid[np.minimum(peaks + 1, _N_GRID - 1)]
+    d1 = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    d2 = d1[:, 1:] * np.arange(1, d1.shape[1])
+    active = np.arange(len(x))
+    with np.errstate(all="ignore"):   # p = 0 at a point makes its slope inf: bisect
+        for _ in range(_MAX_STEPS):
+            xa = x[active]
+            slope, curve = _log_slopes(coeffs, d1, d2, counts, xa)
+            la = lo[active] = np.where(slope > 0.0, xa, lo[active])
+            ha = hi[active] = np.where(slope < 0.0, xa, hi[active])
+            step = -slope / curve
+            newton = xa + step
+            done = ((slope == 0.0) | (ha - la <= _XATOL)
+                    | ((curve < 0.0) & (np.abs(step) <= _STEP_RTOL * np.abs(xa))))
+            use_newton = (curve < 0.0) & (newton > la) & (newton < ha)
+            x[active] = np.where(done, xa, np.where(use_newton, newton, 0.5 * (la + ha)))
+            active = active[~done]
+            if not active.size:
+                break
 
-    last = _N_GRID - 1
-    for i in range(_N_GRID):
-        if not np.isfinite(vals[i]):
-            continue
-        left_ok = i == 0 or vals[i] > vals[i - 1]
-        right_ok = i == last or vals[i] >= vals[i + 1]
-        if not (left_ok and right_ok):
-            continue
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, last)]
-        res = minimize_scalar(neg, bounds=(lo, hi), method="bounded",
-                              options={"xatol": _XATOL})
-        cand_val = -float(res.fun)
+    for cand_x, cand_val in zip(x.tolist(), np.asarray(fn(x), dtype=float).tolist()):
         if cand_val > best_val:
-            best_val = cand_val
-            best_x = float(res.x)
+            best_x, best_val = cand_x, cand_val
     return best_x, best_val

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .evidence import _SUM_BLOCK, CaseData, _exact_sum, _exact_sums, check_h2_support, woe_known
+from .evidence import _SUM_BLOCK, CaseData, _exact_sum, _exact_sums, _supported_kernel, woe_known
 from .genotypes import validate_error_prob, validate_integer, validate_positive, validate_real
 from .optimize import HALF_OPEN_MARGIN, W_SEARCH_MAX, maximize_on_interval
 from .scaled_beta import ScaledBeta
@@ -120,7 +120,6 @@ def woe_known_result(case: CaseData, w_t: float, w_r: float) -> WoEResult:
 
 def woe_plugin(case: CaseData, w_r: float) -> WoEResult:
     """Evaluate as if the trace were as clean as the reference (w_t = w_r)."""
-    w_r = validate_error_prob(w_r, "w_r")
     return WoEResult(woe_known(case, w_r, w_r), METHOD_PLUGIN)
 
 
@@ -143,8 +142,7 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
     """
     w_r = validate_error_prob(w_r, "w_r")
     n_samples = validate_integer(n_samples, "n_samples", 2)
-    check_h2_support(case, None, w_r)
-    kernel = case.kernel(w_r)
+    kernel = _supported_kernel(case, None, w_r)
     draws = prior.sample(rng, n_samples)
     draws_h2 = draws if prior_h2 is None else prior_h2.sample(rng, n_samples)
     step = max(1, _SUM_BLOCK // n_samples)
@@ -308,8 +306,7 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     """
     w_r = validate_error_prob(w_r, "w_r")
     tol = validate_positive(tol, "tol")
-    check_h2_support(case, None, w_r)
-    kernel = case.kernel(w_r)
+    kernel = _supported_kernel(case, None, w_r)
     w = _node_quantiles(prior)
     w_h2 = w if prior_h2 is None else _node_quantiles(prior_h2)
     i1, err1 = _gk21_rows(kernel.c_h1, w)
@@ -362,16 +359,21 @@ def woe_profile(case: CaseData, w_r: float, lower: float = 0.0,
     """WoE from per-hypothesis maximization over the trace error probability.
 
     Each hypothesis's case likelihood is maximized separately over ``w_t``
-    in ``[lower, upper]`` intersected with [0, 1/2) (grid multistart plus
-    bounded local refinement), and the WoE is the log10 ratio of the two
+    in ``[lower, upper]`` intersected with [0, 1/2) (a grid, then Newton
+    steps from each grid maximum), and the WoE is the log10 ratio of the two
     maxima. The maximizers are reported in the result.
     """
     w_r = validate_error_prob(w_r, "w_r")
     lower, upper = validate_profile_interval(lower, upper)
-    check_h2_support(case, None, w_r)
+    kernel = _supported_kernel(case, None, w_r)
     hi = min(upper, W_SEARCH_MAX)
-    kernel = case.kernel(w_r)
-    w1, v1 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h1, w), lower, hi)
-    w2, v2 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h2, w), lower, hi)
+    c_h1 = kernel.c_h1
+    if kernel.mono.size:   # steer monomorphic rows as H2, so they cancel as in log10_h1
+        c_h1 = c_h1.copy()
+        c_h1[kernel.mono] = kernel.c_t[kernel.mono]
+    w1, v1 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h1, w), lower, hi,
+                                  c_h1, kernel.counts)
+    w2, v2 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h2, w), lower, hi,
+                                  kernel.c_t, kernel.counts)
     return WoEResult(v1 - v2, METHOD_PROFILE, w_hat_h1=w1, w_hat_h2=w2)
 

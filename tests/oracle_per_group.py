@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from snpwoe.estimation import WEstimate
 from snpwoe.evidence import (
@@ -26,12 +27,49 @@ from snpwoe.evidence import (
     trace_marginal,
 )
 from snpwoe.genotypes import GenotypePriors, validate_error_prob
-from snpwoe.optimize import maximize_on_interval
 from snpwoe.unknown_w import QuadratureError
 
 _HALF_OPEN_MARGIN = 1e-12
 _W_FLOOR = 1e-120
 _W_UPPER = 0.5 - 1e-12
+
+
+def maximize_on_interval(fn, lower, upper):
+    """The library's maximizer before Newton refinement: a 65-point grid,
+    then a bounded Brent search (``xatol`` 1e-11) around every local
+    maximum of the grid, keeping the best point found."""
+    if not lower < upper:
+        raise ValueError(f"need lower < upper, got [{lower!r}, {upper!r}]")
+    grid = np.linspace(lower, upper, 65)
+    vals = np.asarray(fn(grid), dtype=float)
+    if np.any(np.isnan(vals)):
+        raise ValueError("objective returned NaN on the search grid")
+    best_idx = int(np.argmax(vals))
+    best_x = float(grid[best_idx])
+    best_val = float(vals[best_idx])
+    if not np.isfinite(best_val):
+        return best_x, best_val
+
+    def neg(x):
+        return -float(fn(np.array([x]))[0])
+
+    last = len(grid) - 1
+    for i in range(len(grid)):
+        if not np.isfinite(vals[i]):
+            continue
+        left_ok = i == 0 or vals[i] > vals[i - 1]
+        right_ok = i == last or vals[i] >= vals[i + 1]
+        if not (left_ok and right_ok):
+            continue
+        lo = grid[max(i - 1, 0)]
+        hi = grid[min(i + 1, last)]
+        res = minimize_scalar(neg, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-11})
+        cand_val = -float(res.fun)
+        if cand_val > best_val:
+            best_val = cand_val
+            best_x = float(res.x)
+    return best_x, best_val
 
 
 def markers(case: CaseData) -> list[MarkerObservation]:

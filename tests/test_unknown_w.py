@@ -453,6 +453,20 @@ class TestMonomorphicMarkers:
         mono, _, _ = self.cases()
         assert self.evaluate(mono) == (0.0,) * 5
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_all_monomorphic_profile_is_exactly_zero(self, seed):
+        """Both hypotheses' searches take the same steps, so their maxima
+        are the same float, wherever the maximum lies."""
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(5, 60))
+        z = rng.integers(0, 3, m)
+        k = int(rng.integers(1, m))
+        x_t = z.copy()
+        x_t[:k] = (z[:k] + rng.integers(1, 3, k)) % 3
+        r = woe_profile(CaseData.from_arrays(x_t, z, np.eye(3)[z]), 1e-4)
+        assert r.woe == 0.0
+        assert r.w_hat_h1 == r.w_hat_h2
+
     def test_fixed_and_integrated_methods_ignore_them(self):
         # the profile maximizers move with them (both hypotheses' likelihoods
         # change by the same function of w), so only profile differs
