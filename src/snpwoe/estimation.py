@@ -119,15 +119,19 @@ def _maximize_rows(priors: np.ndarray, a: np.ndarray, b: np.ndarray,
         with np.errstate(divide="ignore"):
             return np.log(_polyval_rows(quartic[rows], w))
 
+    seen: dict[float, float] = {}   # log_lik's value at each point it was given
+
     def log_lik(w: np.ndarray) -> np.ndarray:
-        return _row_total(counts, log_terms, w)
+        values = _row_total(counts, log_terms, w)
+        seen.update(zip(w.tolist(), values.tolist()))
+        return values
 
     w_hat, value = maximize_on_interval(log_lik, 0.0, W_SEARCH_MAX, quartic, counts)
     # Toward w = 1/2 the likelihood can be flat to rounding, and where
     # the search stops there is arbitrary: an end point whose value
-    # matches the maximum to rounding is the estimate.
+    # matches the maximum to rounding is the estimate. Both ends are grid points.
     for end in (0.0, W_SEARCH_MAX):
-        at_end = log_lik(np.array([end]))[0]
+        at_end = seen[end]
         if at_end >= value - _FLAT * max(1.0, abs(value)):
             return WEstimate(end, at_end, True)
     return WEstimate(w_hat, value, False)

@@ -168,12 +168,14 @@ class CaseData:
 def _polyval_rows(coeffs: np.ndarray, w) -> np.ndarray:
     """Each row's polynomial (coefficients lowest degree first) at ``w`` by
     Horner's rule, elementwise so that a row's value does not depend on its
-    position; scalar ``w`` gives shape (k,), shape ``s`` gives (k,) + s."""
+    position; scalar ``w`` gives shape (k,), shape ``s`` gives (k,) + s.
+    Above degree 0 the result is a new array, evaluated in place."""
     w = np.asarray(w, dtype=float)
     c = coeffs.reshape(coeffs.shape + (1,) * w.ndim)
     out = c[:, -1]
     for j in range(coeffs.shape[1] - 2, -1, -1):
-        out = c[:, j] + w * out
+        out = np.multiply(out, w, out=None if j == coeffs.shape[1] - 2 else out)
+        out += c[:, j]
     return out
 
 
@@ -292,18 +294,17 @@ def _row_total(counts: np.ndarray, term, w):
     def block(rows: slice) -> np.ndarray:
         return counts[rows, None] * term(w, rows).reshape(-1, w.size)
 
-    if len(counts) <= step:
-        sums = _exact_sums((block(slice(None)),))
-    else:
-        sums = _exact_sums(block(slice(i, i + step)) for i in range(0, len(counts), step))
+    sums = _exact_sums(block(slice(i, i + step)) for i in range(0, len(counts), step))
     return float(sums[0]) if w.ndim == 0 else sums.reshape(w.shape)
 
 
 def _log10_h2_rows(c_t: np.ndarray, log10_mr: np.ndarray, w) -> np.ndarray:
     """Per row, ``log10(c_t @ (1, w, w**2)) + log10_mr``."""
-    mr = log10_mr.reshape(log10_mr.shape + (1,) * np.ndim(w))
+    out = _polyval_rows(c_t, w)
     with np.errstate(divide="ignore"):
-        return np.log10(_polyval_rows(c_t, w)) + mr
+        np.log10(out, out=out)
+    out += log10_mr.reshape(log10_mr.shape + (1,) * np.ndim(w))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,8 +349,9 @@ class CaseKernel:
 
     def log10_h1(self, w, rows: slice = slice(None)) -> np.ndarray:
         """Per-row log10 P(x_t, x_r | H1, w, w_r); -inf at a hard exclusion."""
+        out = _polyval_rows(self.c_h1[rows], w)
         with np.errstate(divide="ignore"):
-            out = np.log10(_polyval_rows(self.c_h1[rows], w))
+            np.log10(out, out=out)
         if self.mono.size:
             start, stop, _ = rows.indices(len(self.counts))
             mono = self.mono[(self.mono >= start) & (self.mono < stop)]

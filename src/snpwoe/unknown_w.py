@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .evidence import _SUM_BLOCK, CaseData, _exact_sum, _exact_sums, _supported_kernel, woe_known
+from .evidence import (_SUM_BLOCK, CaseData, _exact_sum, _polyval_rows, _supported_kernel,
+                       woe_known)
 from .genotypes import validate_error_prob, validate_integer, validate_positive, validate_real
 from .optimize import HALF_OPEN_MARGIN, W_SEARCH_MAX, maximize_on_interval
 from .scaled_beta import ScaledBeta
@@ -72,8 +73,8 @@ class WoEResult:
     """Weight of evidence (log10 likelihood ratio) plus method metadata.
 
     ``w_hat_h1``/``w_hat_h2`` are the per-hypothesis maximizers and are
-    present exactly for the profile method; ``mc_std_error`` is the Monte
-    Carlo standard error and is present exactly for ``integrate-mc``;
+    present exactly for the profile method; ``mc_std_error``, the standard
+    error of the Monte Carlo mean, is present exactly for ``integrate-mc``;
     ``quad_abserr`` (the largest per-row error estimate over both
     hypotheses) and ``quad_fallbacks`` (the number of row integrals redone
     by adaptive quadrature) are present exactly for ``integrate-quad``.
@@ -128,13 +129,14 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
                      prior_h2: ScaledBeta | None = None) -> WoEResult:
     """Prior-predictive WoE by Monte Carlo over ``w_t``.
 
-    One set of ``n_samples`` prior draws is shared across all markers and
-    both hypotheses, so the two integrals are evaluated on common random
-    numbers. The estimate is the exact mean of the per-draw case-level
-    log10 likelihood differences (an exact sum, as in ``CaseKernel.total``),
-    which makes the result invariant to the marker/draw reduction order.
-    The standard error of that mean over draws is reported alongside. Rows
-    are taken one block at a time, so memory does not grow with m.
+    One set of ``n_samples`` prior draws, floored at ``_W_FLOOR`` as
+    quadrature's nodes are, is shared across all markers and both
+    hypotheses, so the two integrals are evaluated on common random numbers.
+    Each draw's case-level log10 likelihood difference adds the kernel's
+    rows in their sorted order, whatever the marker order; the estimate is
+    the correctly rounded mean of these per-draw sums, and the standard
+    error of that mean is reported alongside. Rows are taken one block at a
+    time, so memory does not grow with m.
 
     ``prior_h2`` optionally gives H2 its own prior; the H1 draw vector is
     then generated first and an independent H2 vector second, so common
@@ -143,29 +145,22 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
     w_r = validate_error_prob(w_r, "w_r")
     n_samples = validate_integer(n_samples, "n_samples", 2)
     kernel = _supported_kernel(case, None, w_r)
-    draws = prior.sample(rng, n_samples)
-    draws_h2 = draws if prior_h2 is None else prior_h2.sample(rng, n_samples)
+    draws = np.maximum(prior.sample(rng, n_samples), _W_FLOOR)
+    draws_h2 = draws if prior_h2 is None else np.maximum(prior_h2.sample(rng, n_samples),
+                                                         _W_FLOOR)
     step = max(1, _SUM_BLOCK // n_samples)
     # Row 0 of the buffer carries each draw's sum over the rows before the
     # block, so the per-draw sums add the rows one by one in order, as one
     # axis-0 sum over all rows does.
-    buffer = np.empty((step + 1, n_samples))
-    per_draw = None
-
-    def weighted_blocks():
-        nonlocal per_draw
-        for start in range(0, len(kernel.counts), step):
-            rows = slice(start, start + step)
-            diff = kernel.log10_h1(draws, rows) - kernel.log10_h2(draws_h2, rows)
-            weighted = np.multiply(kernel.counts[rows, None], diff, out=buffer[1:len(diff) + 1])
-            if per_draw is None:
-                per_draw = weighted.sum(axis=0)
-            else:
-                buffer[0] = per_draw
-                per_draw = buffer[:len(diff) + 1].sum(axis=0)
-            yield weighted.reshape(-1, 1)
-
-    woe = float(_exact_sums(weighted_blocks())[0]) / n_samples
+    buffer = np.zeros((step + 1, n_samples))
+    for start in range(0, len(kernel.counts), step):
+        rows = slice(start, start + step)
+        diff = kernel.log10_h1(draws, rows)
+        diff -= kernel.log10_h2(draws_h2, rows)
+        np.multiply(kernel.counts[rows, None], diff, out=buffer[1:len(diff) + 1])
+        buffer[0] = buffer[:len(diff) + 1].sum(axis=0)
+    per_draw = buffer[0]
+    woe = math.fsum(per_draw.tolist()) / n_samples
     se = float(np.std(per_draw, ddof=1) / math.sqrt(n_samples))
     return WoEResult(woe, METHOD_INTEGRATE_MC, mc_std_error=se)
 
@@ -270,10 +265,7 @@ def _gk21_rows(coeffs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for start in range(0, len(coeffs), _QUAD_BLOCK):
         c = coeffs[start:start + _QUAD_BLOCK]
         block = slice(start, start + len(c))
-        f = c[:, 2:] * w                      # (block, nodes), then in place
-        f += c[:, 1:2]
-        f *= w
-        f += c[:, :1]
+        f = _polyval_rows(c, w)               # (block, nodes), then in place
         np.log10(f, out=f)
         gap = np.abs((f.reshape(len(c), -1, 21) * _QUAD_PANEL_DIFF).sum(axis=2))
         f *= _QUAD_WEIGHTS                    # the Kronrod weights are positive

@@ -1,6 +1,9 @@
 """MLE of a shared genotyping error probability from duplicate pairs."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_rss_above_case_mb
+from snpwoe import estimation
 from snpwoe.estimation import (
     PairCountTable,
     WEstimate,
@@ -17,9 +21,22 @@ from snpwoe.estimation import (
 )
 from snpwoe.evidence import MarkerObservation, joint_table_h1
 from snpwoe.genotypes import hwe_priors
+from snpwoe.optimize import W_SEARCH_MAX
 
 PRIORS75 = hwe_priors(0.75)
 PRIORS90 = hwe_priors(0.9)
+
+
+def casework_duplicate_sets():
+    """The benchmark's 48 casework duplicate-pair sets, as its run builds them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for rnd in range(inputs.FULL.pool_rounds):
+        q, first, second = inputs.duplicate_arrays(inputs.FULL, rnd)
+        yield [MarkerObservation(int(a), int(b), hwe_priors(float(f)))
+               for a, b, f in zip(first, second, q)]
 
 
 def pair_table(priors, w):
@@ -197,3 +214,26 @@ class TestEstimatePerMarker:
                  "[MarkerObservation(a, b, GenotypePriors(*p)) for a, b, p in "
                  "zip(case.x_t.tolist(), case.x_r.tolist(), case.priors.tolist())]")
         assert peak_rss_above_case_mb("estimate_w_mle_per_marker(observations)", setup) < 150.0
+
+    def test_end_points_reuse_the_grid_sums(self, monkeypatch):
+        """Both ends of the search are grid points, so one MLE sums the
+        log-likelihood twice (grid, refined points); each end's one-point
+        sum, which an MLE used to recompute, equals its grid value."""
+        totals, objectives = [], []
+        real_total, real_maximize = estimation._row_total, estimation.maximize_on_interval
+        monkeypatch.setattr(estimation, "_row_total",
+                            lambda *args: totals.append(1) or real_total(*args))
+        monkeypatch.setattr(estimation, "maximize_on_interval",
+                            lambda fn, *args: objectives.append(fn) or real_maximize(fn, *args))
+        grid = np.linspace(0.0, W_SEARCH_MAX, 65)
+        estimates = []
+        for observations in casework_duplicate_sets():
+            totals.clear()
+            estimates.append(estimate_w_mle_per_marker(observations))
+            assert len(totals) == 2
+            log_lik = objectives[-1]
+            on_grid = log_lik(grid)
+            for i, end in ((0, 0.0), (-1, W_SEARCH_MAX)):
+                assert log_lik(np.array([end]))[0] == on_grid[i]
+        assert len(estimates) == 48
+        assert not any(est.at_boundary for est in estimates)

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import markers, peak_rss_above_case_mb, random_case
+from snpwoe import unknown_w
 from snpwoe.evidence import (
     CaseData,
     DegenerateCaseError,
@@ -21,7 +23,7 @@ from snpwoe.evidence import (
     woe_known,
 )
 from snpwoe.fileio import load_study_config
-from snpwoe.genotypes import GenotypePriors, hwe_priors
+from snpwoe.genotypes import GenotypePriors, hwe_prior_array, hwe_priors
 from snpwoe.scaled_beta import ScaledBeta
 from snpwoe.study import run_woe_study
 from snpwoe.unknown_w import (
@@ -358,6 +360,43 @@ class TestIntegrateMc:
         r = woe_integrate_mc(case, prior, 1e-4,
                              np.random.default_rng(np.random.SeedSequence(12)))
         assert r.mc_std_error > 0.0
+
+    def test_floored_draws_at_zero_w_r(self):
+        """This prior draws below 1e-154, where ``w**2`` underflows to 0 and
+        the (2, 0) pair's H1 probability at ``w_r = 0`` with it; its draws
+        are floored at 1e-120, as quadrature's nodes are, so every log stays
+        finite and the estimate agrees with quadrature."""
+        case = CaseData.from_arrays([2, 1], [0, 1], hwe_prior_array([0.5, 0.5]))
+        prior = ScaledBeta(0.005, 5.0)
+        assert prior.quantile(0.05) < 1e-154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = woe_integrate_mc(case, prior, 0.0,
+                                 np.random.default_rng(np.random.SeedSequence(0)), 4000)
+        assert math.isfinite(r.woe)
+        assert math.isfinite(r.mc_std_error) and r.mc_std_error >= 0.0
+        assert abs(r.woe - woe_integrate_quad(case, prior, 0.0).woe) <= 4.0 * r.mc_std_error
+
+    @pytest.mark.parametrize("distinct_h2", [False, True])
+    def test_block_size_moves_nothing(self, monkeypatch, distinct_h2):
+        """The per-draw sums add the rows in order whatever the block size,
+        so one row per block, the default and one block give the same bits."""
+        rng = np.random.default_rng(34)
+        q = rng.uniform(0.05, 0.95, 500)
+        case = CaseData.from_arrays(rng.integers(0, 3, 500), rng.integers(0, 3, 500),
+                                    hwe_prior_array(q))
+        prior = ScaledBeta.from_moments(1e-3, 1e-6)
+        prior_h2 = ScaledBeta.from_moments(3e-3, 1e-6) if distinct_h2 else None
+
+        def run():
+            r = woe_integrate_mc(case, prior, 1e-4, np.random.default_rng(35), 1000,
+                                 prior_h2=prior_h2)
+            return r.woe, r.mc_std_error
+
+        want = run()
+        for block in (1000, 1 << 20):
+            monkeypatch.setattr(unknown_w, "_SUM_BLOCK", block)
+            assert run() == want
 
     def test_memory_bounded_in_m(self):
         """1000 draws over m = 10^5 markers with per-marker q stay within
