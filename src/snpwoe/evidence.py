@@ -165,18 +165,19 @@ class CaseData:
         return self._kernels[w_r]
 
 
-def _polyval_rows(coeffs: np.ndarray, w) -> np.ndarray:
+def _polyval_rows(coeffs: np.ndarray, w, out: np.ndarray | None = None) -> np.ndarray:
     """Each row's polynomial (coefficients lowest degree first) at ``w`` by
     Horner's rule, elementwise so that a row's value does not depend on its
     position; scalar ``w`` gives shape (k,), shape ``s`` gives (k,) + s.
-    Above degree 0 the result is a new array, evaluated in place."""
+    Above degree 0 the result is evaluated in place, in ``out`` when given
+    (of the result's shape), else in a new array."""
     w = np.asarray(w, dtype=float)
     c = coeffs.reshape(coeffs.shape + (1,) * w.ndim)
-    out = c[:, -1]
+    result = c[:, -1]
     for j in range(coeffs.shape[1] - 2, -1, -1):
-        out = np.multiply(out, w, out=None if j == coeffs.shape[1] - 2 else out)
-        out += c[:, j]
-    return out
+        result = np.multiply(result, w, out=out if j == coeffs.shape[1] - 2 else result)
+        result += c[:, j]
+    return result
 
 
 # Values per block of an exact sum, 128 KB of float64: small enough that a
@@ -199,8 +200,7 @@ def _exact_sums(blocks) -> np.ndarray:
     """Column sums of all rows of ``blocks``, an iterable of nonempty float
     arrays of shape (n, c), each correctly rounded from the exact sum: equal
     to ``math.fsum`` of the column, whatever the order of its values or their
-    split into blocks. A block is used up before the next is drawn, so the
-    blocks may share one buffer.
+    split into blocks.
 
     A value is ``±(upper * 2**26 + lower) * 2**(e - 1075)``: ``e`` its
     exponent field (0 counts as 1, so subnormals stay exact) and ``upper``,
@@ -218,16 +218,14 @@ def _exact_sums(blocks) -> np.ndarray:
     blocks = iter(blocks)
     first = next(blocks)
     if len(first) < _FSUM_ROWS:
-        listed = first.T.tolist()   # a copy: the next block may reuse first's memory
         second = next(blocks, None)
         if second is None:
             try:
-                return np.array([math.fsum(col) for col in listed])
+                return np.array([math.fsum(col) for col in first.T.tolist()])
             except OverflowError:   # in fsum's partial sums, maybe not in the sum
                 pass
         else:
             blocks = itertools.chain((second,), blocks)
-        first = np.array(listed).T
     columns = first.shape[1]
     lanes = -(-_LANES // columns)
     slot = np.arange(0)
@@ -298,9 +296,11 @@ def _row_total(counts: np.ndarray, term, w):
     return float(sums[0]) if w.ndim == 0 else sums.reshape(w.shape)
 
 
-def _log10_h2_rows(c_t: np.ndarray, log10_mr: np.ndarray, w) -> np.ndarray:
-    """Per row, ``log10(c_t @ (1, w, w**2)) + log10_mr``."""
-    out = _polyval_rows(c_t, w)
+def _log10_h2_rows(c_t: np.ndarray, log10_mr: np.ndarray, w,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Per row, ``log10(c_t @ (1, w, w**2)) + log10_mr``, in ``out`` when
+    given."""
+    out = _polyval_rows(c_t, w, out)
     with np.errstate(divide="ignore"):
         np.log10(out, out=out)
     out += log10_mr.reshape(log10_mr.shape + (1,) * np.ndim(w))
@@ -323,7 +323,8 @@ class CaseKernel:
     ``c_t * 10**log10_mr``. Their H1 term is computed by the H2 term's
     expression, so it cancels exactly.
 
-    The per-row methods take ``rows``, a slice, to evaluate only those rows.
+    The per-row methods take ``rows``, a slice, to evaluate only those rows,
+    and ``out``, an array of the result's shape to evaluate them in.
     """
 
     x_t: np.ndarray
@@ -347,9 +348,9 @@ class CaseKernel:
         mono = np.flatnonzero(np.all((priors == 0.0) | (priors == 1.0), axis=1))
         return cls(x_t, x_r, counts, first, inverse, c_h1, c_t, log10_mr, mono)
 
-    def log10_h1(self, w, rows: slice = slice(None)) -> np.ndarray:
+    def log10_h1(self, w, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
         """Per-row log10 P(x_t, x_r | H1, w, w_r); -inf at a hard exclusion."""
-        out = _polyval_rows(self.c_h1[rows], w)
+        out = _polyval_rows(self.c_h1[rows], w, out)
         with np.errstate(divide="ignore"):
             np.log10(out, out=out)
         if self.mono.size:
@@ -358,9 +359,9 @@ class CaseKernel:
             out[mono - start] = _log10_h2_rows(self.c_t[mono], self.log10_mr[mono], w)
         return out
 
-    def log10_h2(self, w, rows: slice = slice(None)) -> np.ndarray:
+    def log10_h2(self, w, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
         """Per-row log10 P(x_t, x_r | H2, w, w_r)."""
-        return _log10_h2_rows(self.c_t[rows], self.log10_mr[rows], w)
+        return _log10_h2_rows(self.c_t[rows], self.log10_mr[rows], w, out)
 
     def total(self, term, w):
         """Sum over markers of ``term(w, rows)``, per-row terms such as

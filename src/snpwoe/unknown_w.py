@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .evidence import (_SUM_BLOCK, CaseData, _exact_sum, _polyval_rows, _supported_kernel,
                        woe_known)
@@ -76,8 +75,8 @@ class WoEResult:
     present exactly for the profile method; ``mc_std_error``, the standard
     error of the Monte Carlo mean, is present exactly for ``integrate-mc``;
     ``quad_abserr`` (the largest per-row error estimate over both
-    hypotheses) and ``quad_fallbacks`` (the number of row integrals redone
-    by adaptive quadrature) are present exactly for ``integrate-quad``.
+    hypotheses) and ``quad_fallbacks`` (the number of row integrals refined
+    by adaptive bisection) are present exactly for ``integrate-quad``.
     """
 
     woe: float
@@ -151,45 +150,22 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
     step = max(1, _SUM_BLOCK // n_samples)
     # Row 0 of the buffer carries each draw's sum over the rows before the
     # block, so the per-draw sums add the rows one by one in order, as one
-    # axis-0 sum over all rows does.
+    # axis-0 sum over all rows does. The block's H1 terms are evaluated in
+    # the rows after it, its H2 terms in a second buffer.
     buffer = np.zeros((step + 1, n_samples))
-    for start in range(0, len(kernel.counts), step):
+    h2 = np.empty((step, n_samples))
+    m = len(kernel.counts)
+    for start in range(0, m, step):
         rows = slice(start, start + step)
-        diff = kernel.log10_h1(draws, rows)
-        diff -= kernel.log10_h2(draws_h2, rows)
-        np.multiply(kernel.counts[rows, None], diff, out=buffer[1:len(diff) + 1])
-        buffer[0] = buffer[:len(diff) + 1].sum(axis=0)
+        k = min(step, m - start)
+        diff = kernel.log10_h1(draws, rows, out=buffer[1:k + 1])
+        diff -= kernel.log10_h2(draws_h2, rows, out=h2[:k])
+        diff *= kernel.counts[rows, None]
+        buffer[0] = buffer[:k + 1].sum(axis=0)
     per_draw = buffer[0]
     woe = math.fsum(per_draw.tolist()) / n_samples
     se = float(np.std(per_draw, ddof=1) / math.sqrt(n_samples))
     return WoEResult(woe, METHOD_INTEGRATE_MC, mc_std_error=se)
-
-
-def _integrator(prior: ScaledBeta, tol: float):
-    """``coeffs -> (value, abserr, ok)`` of ``E_prior[log10(c0 + w*(c1 +
-    w*c2))]`` by adaptive ``quad``, one call per distinct coefficient triple.
-    Quantiles are memoized per node, since the integrals visit mostly the
-    same nodes."""
-    quantiles: dict[float, float] = {}
-    done: dict[tuple[float, float, float], tuple[float, float, bool]] = {}
-
-    def integrate(coeffs: tuple[float, float, float]) -> tuple[float, float, bool]:
-        if coeffs not in done:
-            c0, c1, c2 = coeffs
-
-            def log10_at(v: float) -> float:
-                w = quantiles.get(v)
-                if w is None:
-                    w = quantiles[v] = max(prior.quantile(v), _W_FLOOR)
-                return math.log10(c0 + w * (c1 + w * c2))
-
-            # Integrate over (0, 1) in prior-CDF space.
-            value, abserr, _, *tail = quad(log10_at, 0.0, 1.0, epsabs=0.5 * tol, epsrel=0.0,
-                                           limit=200, full_output=1)
-            done[coeffs] = (value, abserr, not tail and abserr <= tol)
-        return done[coeffs]
-
-    return integrate
 
 
 # QUADPACK's qk21 pair (Piessens et al. 1983): the 21-point Kronrod nodes on
@@ -212,9 +188,20 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.295524224714752870173892994651338)
 
 
+# The K21 nodes on [-1, 1] in ascending order, their weights and the G10
+# weights on the same nodes (zero at the Kronrod-only ones).
+_X21 = np.array([-v for v in _XGK[:-1]] + list(_XGK[::-1]))
+_WK21 = np.array(_WGK[:-1] + _WGK[::-1])
+_WG21 = np.zeros(21)
+_WG21[1:10:2] = _WG
+_WG21[11:20:2] = _WG[::-1]
+_OPEN = (np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+
+
 def _gk21_panels():
-    """Nodes in (0, 1), Kronrod weights (both flat, panel-major) and the
-    Kronrod-minus-Gauss weights per panel of a composite G10/K21 rule.
+    """Nodes in (0, 1), Kronrod weights (both flat, panel-major), the
+    Kronrod-minus-Gauss weights per panel, and the panels' centres and
+    half-widths of a composite G10/K21 rule.
 
     Panel edges are ``0.2**k`` for ``k = 1..23`` from 0 and from 1
     (``0.2**23`` is about 1e-16), with one middle panel, so integrable
@@ -222,22 +209,18 @@ def _gk21_panels():
     geometrically. Right-hand panels mirror the left ones exactly; nodes
     that round to 1 are clipped into the open interval.
     """
-    x = np.array([-v for v in _XGK[:-1]] + list(_XGK[::-1]))
-    wk = np.array(_WGK[:-1] + _WGK[::-1])
-    wg = np.zeros(21)
-    wg[1:10:2] = _WG
-    wg[11:20:2] = _WG[::-1]
     edges = np.concatenate(([0.0], 0.2 ** np.arange(23, 0, -1.0)))
     lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    left = (0.5 * (lo + hi))[:, None] + half[:, None] * x
-    nodes = np.concatenate((left, [0.5 + 0.3 * x], 1.0 - left[::-1, ::-1]))
-    half = np.concatenate((half, [0.3], half[::-1]))[:, None]
-    nodes = np.clip(nodes, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
-    return nodes.ravel(), (half * wk).ravel(), half * (wk - wg)
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    left = centre[:, None] + half[:, None] * _X21
+    nodes = np.clip(np.concatenate((left, [0.5 + 0.3 * _X21], 1.0 - left[::-1, ::-1])), *_OPEN)
+    centre = np.concatenate((centre, [0.5], 1.0 - centre[::-1]))
+    half = np.concatenate((half, [0.3], half[::-1]))
+    return (nodes.ravel(), (half[:, None] * _WK21).ravel(), half[:, None] * (_WK21 - _WG21),
+            centre, half)
 
 
-_QUAD_NODES, _QUAD_WEIGHTS, _QUAD_PANEL_DIFF = _gk21_panels()
+_QUAD_NODES, _QUAD_WEIGHTS, _QUAD_PANEL_DIFF, _PANEL_CENTRE, _PANEL_HALF = _gk21_panels()
 # Rows per block of the (rows x nodes) integrand matrix, about 1 MB each.
 _QUAD_BLOCK = 128
 _ROUNDOFF = 50.0 * np.finfo(float).eps
@@ -274,6 +257,79 @@ def _gk21_rows(coeffs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return value, error
 
 
+# A flagged row's panels are bisected at most this many times over, and a
+# row stops splitting its panels once it has this many, so refinement is
+# bounded in time and in memory.
+_QUAD_LEVELS = 16
+_QUAD_LIMIT = 512
+
+
+def _gk21(f: np.ndarray, half: np.ndarray):
+    """Per panel, from the integrand at its 21 nodes (one panel a line) and
+    its half-width: the K21 value, ``|K21 - G10|`` and the K21 integral of
+    ``|f|``."""
+    return half * (f @ _WK21), half * np.abs(f @ (_WK21 - _WG21)), half * (np.abs(f) @ _WK21)
+
+
+def quad(f, f0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, an integral over (0, 1) and its error estimate by adaptive
+    bisection of the composite rule's panels.
+
+    ``f(v, rows)`` is the integrand at CDF points ``v`` of shape
+    (panels, 21), line ``i`` of ``v`` belonging to row ``rows[i]``; ``f0``
+    (rows, nodes) holds it at the composite rule's nodes. A row's value is
+    the sum of its panels' K21 values, and its error estimate the sum of
+    their ``|K21 - G10|``, floored at ``_ROUNDOFF`` times the integral of
+    ``|f|`` as in ``_gk21_rows``. Each level bisects, in every row whose
+    estimate exceeds ``tol / 2``, the panels whose ``|K21 - G10|`` exceeds
+    both the row's even share of ``tol / 2`` and the panel's own round-off
+    level, all rows at once with one call of ``f``: QUADPACK's qag
+    (Piessens et al. 1983), split level by level and vectorized over rows
+    and panels as scipy's ``quad_vec`` is over panels. It stops when no
+    panel is split or after ``_QUAD_LEVELS`` levels, and stops splitting a
+    row once it has ``_QUAD_LIMIT`` panels.
+    """
+    n = len(f0)
+    row = np.repeat(np.arange(n), len(_PANEL_HALF))
+    centre, half = np.tile(_PANEL_CENTRE, n), np.tile(_PANEL_HALF, n)
+    value, gap, size = _gk21(f0.reshape(-1, 21), half)
+    for level in range(_QUAD_LEVELS + 1):
+        error = np.maximum(np.bincount(row, gap, n), _ROUNDOFF * np.bincount(row, size, n))
+        panels = np.bincount(row, minlength=n)
+        open_rows = (error > 0.5 * tol) & (panels < _QUAD_LIMIT)
+        share = np.where(open_rows, 0.5 * tol / panels, np.inf)
+        split = gap > np.maximum(share[row], _ROUNDOFF * size)
+        if level == _QUAD_LEVELS or not split.any():
+            return np.bincount(row, value, n), error
+        keep = ~split
+        quarter = 0.5 * half[split]
+        new_centre = np.concatenate((centre[split] - quarter, centre[split] + quarter))
+        new_half = np.tile(quarter, 2)
+        new_row = np.tile(row[split], 2)
+        v = np.clip(new_centre[:, None] + new_half[:, None] * _X21, *_OPEN)
+        parts = _gk21(f(v, new_row), new_half)
+        row, centre, half, value, gap, size = (
+            np.concatenate((old[keep], new)) for old, new in
+            zip((row, centre, half, value, gap, size), (new_row, new_centre, new_half, *parts)))
+
+
+def _log10_integrand(coeffs: np.ndarray, prior: ScaledBeta):
+    """``quad``'s integrand ``log10(c0 + w*(c1 + w*c2))`` for the rows
+    ``coeffs``, at ``w`` the prior's quantiles floored at ``_W_FLOOR``: one
+    ``prior.quantile`` call per evaluation, on the distinct points only,
+    since the rows mostly split the same panels."""
+    def f(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        points, where = np.unique(v.ravel(), return_inverse=True)
+        w = np.maximum(prior.quantile(points), _W_FLOOR)[where.reshape(v.shape)]
+        c = coeffs[rows, :, None]
+        out = c[:, 2] * w
+        out += c[:, 1]
+        out *= w
+        out += c[:, 0]
+        return np.log10(out, out=out)
+    return f
+
+
 def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
                        tol: float = 1e-8,
                        prior_h2: ScaledBeta | None = None) -> WoEResult:
@@ -290,35 +346,33 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     Every row of the case kernel is integrated by one fixed composite
     Gauss-Kronrod 10/21 rule, vectorized over rows. The prior's quantiles
     at the rule's nodes are computed once per ``ScaledBeta`` instance, on
-    its first use here, and kept on it. A row integral whose error estimate
-    exceeds ``tol / 2`` is redone by adaptive ``scipy.integrate.quad``;
-    ``QuadratureError`` is raised when that fails to reach ``tol``. The
-    result reports the largest per-row error estimate and the number of
-    row integrals redone.
+    its first use here, and kept on it. The row integrals whose error
+    estimate exceeds ``tol / 2`` are refined together by :func:`quad`, one
+    block of rows at a time; ``QuadratureError`` is raised when a row still
+    misses ``tol``. The result reports the largest per-row error estimate
+    and the number of row integrals refined.
     """
     w_r = validate_error_prob(w_r, "w_r")
     tol = validate_positive(tol, "tol")
     kernel = _supported_kernel(case, None, w_r)
-    w = _node_quantiles(prior)
-    w_h2 = w if prior_h2 is None else _node_quantiles(prior_h2)
-    i1, err1 = _gk21_rows(kernel.c_h1, w)
-    i2, err2 = _gk21_rows(kernel.c_t, w_h2)
-    ok = np.ones(len(i1), dtype=bool)
-    fallbacks = 0
-    for values, errors, coeffs, dist in ((i1, err1, kernel.c_h1, prior),
-                                         (i2, err2, kernel.c_t, prior_h2 or prior)):
+    integrals = []
+    refined = 0
+    for coeffs, dist in ((kernel.c_h1, prior), (kernel.c_t, prior_h2 or prior)):
+        w = _node_quantiles(dist)
+        values, errors = _gk21_rows(coeffs, w)
         redo = np.flatnonzero(errors > 0.5 * tol)
-        if redo.size:
-            integrate = _integrator(dist, tol)
-            for i in redo.tolist():
-                values[i], errors[i], ok_i = integrate(tuple(coeffs[i].tolist()))
-                ok[i] &= ok_i
-            fallbacks += redo.size
-    if not ok.all():
-        bad = np.flatnonzero(~ok)
-        worst_err, worst_label = max(
-            (float(max(err1[i], err2[i])), case.marker_label(int(kernel.first[i])))
-            for i in bad.tolist())
+        for start in range(0, len(redo), _QUAD_BLOCK):
+            rows = redo[start:start + _QUAD_BLOCK]
+            f0 = np.log10(_polyval_rows(coeffs[rows], w))
+            values[rows], errors[rows] = quad(_log10_integrand(coeffs[rows], dist), f0, tol)
+        refined += len(redo)
+        integrals.append((values, errors))
+    (i1, err1), (i2, err2) = integrals
+    errors = np.maximum(err1, err2)
+    bad = np.flatnonzero(errors > tol)
+    if bad.size:
+        worst_err, worst_label = max((err, case.marker_label(int(kernel.first[i])))
+                                     for i, err in zip(bad.tolist(), errors[bad].tolist()))
         raise QuadratureError(
             f"quadrature failed to reach tol={tol!r} on {len(bad)} "
             f"marker pattern(s); worst at marker {worst_label} "
@@ -328,8 +382,7 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
         i1[kernel.mono] = i2[kernel.mono] + kernel.log10_mr[kernel.mono]
     total = kernel.counts * (i1 - (i2 + kernel.log10_mr))
     return WoEResult(_exact_sum(total), METHOD_INTEGRATE_QUAD,
-                     quad_abserr=float(max(err1.max(), err2.max())),
-                     quad_fallbacks=fallbacks)
+                     quad_abserr=float(errors.max()), quad_fallbacks=refined)
 
 
 def validate_profile_interval(lower, upper,

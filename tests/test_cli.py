@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -430,3 +432,16 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["method"] == "known"
+
+    def test_import_skips_scipy_integrate_and_optimize(self):
+        """The CLI uses scipy only through scipy.special, so a fresh
+        interpreter that imports it loads neither of the larger subpackages."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        script = ("import json, sys, snpwoe.cli; print(json.dumps("
+                  "[m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules]))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == []

@@ -1,7 +1,8 @@
 """The exact blocked sum behind every kernel total equals ``math.fsum`` bit
 for bit: on 1-D arrays and on each column of a 2-D array, at every size
-around the fsum cut-off and the block size, for any split into blocks, and
-with inf and nan giving fsum's value or fsum's exception."""
+around the fsum cut-off and the block size, for any split into blocks
+(a small first block included), and with inf and nan giving fsum's value
+or fsum's exception."""
 
 import math
 from fractions import Fraction
@@ -119,15 +120,15 @@ def test_finite_sum_past_fsums_intermediate_overflow(n):
     assert _exact_sum(np.array(x)) == MAX
 
 
-def test_blocks_may_share_one_buffer():
+def test_first_block_then_more_blocks():
+    """A first block, small or not, followed by more blocks of any size
+    sums as fsum does over all of them, column by column."""
     rng = np.random.default_rng(3)
-    x = rng.normal(size=5 * _SUM_BLOCK) * 10.0 ** rng.integers(-20, 20, 5 * _SUM_BLOCK)
-    buffer = np.empty((_FSUM_ROWS - 1, 1))
-
-    def blocks():
-        for start in range(0, len(x), len(buffer)):
-            chunk = x[start:start + len(buffer)]
-            buffer[:len(chunk), 0] = chunk
-            yield buffer[:len(chunk)]
-
-    assert_same(float(_exact_sums(blocks())[0]), math.fsum(x.tolist()))
+    n = 2 * _SUM_BLOCK + 5
+    x = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-20, 20, (n, 2))
+    want = [math.fsum(col) for col in x.T.tolist()]
+    for first in (1, 2, _FSUM_ROWS - 1, _FSUM_ROWS, _SUM_BLOCK + 1):
+        for step in (5, _FSUM_ROWS - 1, _SUM_BLOCK, 2 * _SUM_BLOCK + 3):
+            blocks = [x[:first]] + [x[i:i + step] for i in range(first, n, step)]
+            for got, w in zip(_exact_sums(blocks).tolist(), want):
+                assert_same(got, w)

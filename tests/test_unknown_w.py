@@ -189,7 +189,7 @@ class TestIntegrateQuad:
         # The (0, 1) pair at w_r = 0 has a log-singular H1 integrand; the
         # fixed rule's G10/K21 gap on it (about 1e-10) is under tol/2 at
         # the default tol and over it at tol = 1e-10, where that one row
-        # integral is redone by adaptive quad.
+        # integral is refined by bisecting its panels.
         case = CaseData((MarkerObservation(0, 1, PRIORS75),
                          MarkerObservation(0, 0, PRIORS75)))
         prior = ScaledBeta(0.6, 2.4)
