@@ -199,8 +199,7 @@ _OPEN = (np.finfo(float).tiny, np.nextafter(1.0, 0.0))
 
 
 def _gk21_panels():
-    """Nodes in (0, 1), Kronrod weights (both flat, panel-major), the
-    Kronrod-minus-Gauss weights per panel, and the panels' centres and
+    """Nodes in (0, 1) (flat, panel-major) and the panels' centres and
     half-widths of a composite G10/K21 rule.
 
     Panel edges are ``0.2**k`` for ``k = 1..23`` from 0 and from 1
@@ -216,13 +215,16 @@ def _gk21_panels():
     nodes = np.clip(np.concatenate((left, [0.5 + 0.3 * _X21], 1.0 - left[::-1, ::-1])), *_OPEN)
     centre = np.concatenate((centre, [0.5], 1.0 - centre[::-1]))
     half = np.concatenate((half, [0.3], half[::-1]))
-    return (nodes.ravel(), (half[:, None] * _WK21).ravel(), half[:, None] * (_WK21 - _WG21),
-            centre, half)
+    return nodes.ravel(), centre, half
 
 
-_QUAD_NODES, _QUAD_WEIGHTS, _QUAD_PANEL_DIFF, _PANEL_CENTRE, _PANEL_HALF = _gk21_panels()
+_QUAD_NODES, _PANEL_CENTRE, _PANEL_HALF = _gk21_panels()
 # Rows per block of the (rows x nodes) integrand matrix, about 1 MB each.
 _QUAD_BLOCK = 128
+# The rule's panels for a full block of rows, row by row: each panel's row,
+# centre and half-width. ``quad`` takes a prefix, so a call pays no setup.
+_BLOCK_PANELS = (np.repeat(np.arange(_QUAD_BLOCK), len(_PANEL_HALF)),
+                 np.tile(_PANEL_CENTRE, _QUAD_BLOCK), np.tile(_PANEL_HALF, _QUAD_BLOCK))
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
@@ -236,25 +238,6 @@ def _node_quantiles(prior: ScaledBeta) -> np.ndarray:
         w.flags.writeable = False
         prior.__dict__["_node_quantiles"] = w
     return w
-
-
-def _gk21_rows(coeffs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the composite K21 integral of ``log10(c0 + w*(c1 + w*c2))``
-    over the prior-CDF nodes (``w`` are their floored quantiles) and its
-    error estimate: the summed per-panel ``|K21 - G10|``, floored at
-    QUADPACK's round-off level ``50 * eps * integral of |f|``."""
-    value = np.empty(len(coeffs))
-    error = np.empty(len(coeffs))
-    for start in range(0, len(coeffs), _QUAD_BLOCK):
-        c = coeffs[start:start + _QUAD_BLOCK]
-        block = slice(start, start + len(c))
-        f = _polyval_rows(c, w)               # (block, nodes), then in place
-        np.log10(f, out=f)
-        gap = np.abs((f.reshape(len(c), -1, 21) * _QUAD_PANEL_DIFF).sum(axis=2))
-        f *= _QUAD_WEIGHTS                    # the Kronrod weights are positive
-        value[block] = f.sum(axis=1)
-        error[block] = np.maximum(gap.sum(axis=1), _ROUNDOFF * np.abs(f, out=f).sum(axis=1))
-    return value, error
 
 
 # A flagged row's panels are bisected at most this many times over, and a
@@ -271,36 +254,41 @@ def _gk21(f: np.ndarray, half: np.ndarray):
     return half * (f @ _WK21), half * np.abs(f @ (_WK21 - _WG21)), half * (np.abs(f) @ _WK21)
 
 
-def quad(f, f0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, an integral over (0, 1) and its error estimate by adaptive
-    bisection of the composite rule's panels.
+def quad(f, f0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per row, an integral over (0, 1) and its error estimate by the
+    composite rule and adaptive bisection of its panels, and the number of
+    rows whose first estimate exceeded ``tol / 2``.
 
     ``f(v, rows)`` is the integrand at CDF points ``v`` of shape
     (panels, 21), line ``i`` of ``v`` belonging to row ``rows[i]``; ``f0``
-    (rows, nodes) holds it at the composite rule's nodes. A row's value is
-    the sum of its panels' K21 values, and its error estimate the sum of
-    their ``|K21 - G10|``, floored at ``_ROUNDOFF`` times the integral of
-    ``|f|`` as in ``_gk21_rows``. Each level bisects, in every row whose
+    (rows, nodes), at most ``_QUAD_BLOCK`` rows, holds it at the composite
+    rule's nodes. A row's value is the sum of its panels' K21 values, and
+    its error estimate the sum of their ``|K21 - G10|``, floored at
+    QUADPACK's round-off level ``_ROUNDOFF`` times the integral of ``|f|``.
+    Level 0 is the rule's 47 panels. Each level bisects, in every row whose
     estimate exceeds ``tol / 2``, the panels whose ``|K21 - G10|`` exceeds
     both the row's even share of ``tol / 2`` and the panel's own round-off
     level, all rows at once with one call of ``f``: QUADPACK's qag
     (Piessens et al. 1983), split level by level and vectorized over rows
     and panels as scipy's ``quad_vec`` is over panels. It stops when no
-    panel is split or after ``_QUAD_LEVELS`` levels, and stops splitting a
-    row once it has ``_QUAD_LIMIT`` panels.
+    row is over ``tol / 2`` or no panel is split, or after ``_QUAD_LEVELS``
+    levels, and stops splitting a row once it has ``_QUAD_LIMIT`` panels.
     """
     n = len(f0)
-    row = np.repeat(np.arange(n), len(_PANEL_HALF))
-    centre, half = np.tile(_PANEL_CENTRE, n), np.tile(_PANEL_HALF, n)
+    row, centre, half = (a[:n * len(_PANEL_HALF)] for a in _BLOCK_PANELS)
     value, gap, size = _gk21(f0.reshape(-1, 21), half)
     for level in range(_QUAD_LEVELS + 1):
         error = np.maximum(np.bincount(row, gap, n), _ROUNDOFF * np.bincount(row, size, n))
         panels = np.bincount(row, minlength=n)
         open_rows = (error > 0.5 * tol) & (panels < _QUAD_LIMIT)
+        if level == 0:
+            flagged = int(np.count_nonzero(open_rows))
+        if level == _QUAD_LEVELS or not open_rows.any():
+            break
         share = np.where(open_rows, 0.5 * tol / panels, np.inf)
         split = gap > np.maximum(share[row], _ROUNDOFF * size)
-        if level == _QUAD_LEVELS or not split.any():
-            return np.bincount(row, value, n), error
+        if not split.any():
+            break
         keep = ~split
         quarter = 0.5 * half[split]
         new_centre = np.concatenate((centre[split] - quarter, centre[split] + quarter))
@@ -311,6 +299,7 @@ def quad(f, f0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         row, centre, half, value, gap, size = (
             np.concatenate((old[keep], new)) for old, new in
             zip((row, centre, half, value, gap, size), (new_row, new_centre, new_half, *parts)))
+    return np.bincount(row, value, n), error, flagged
 
 
 def _log10_integrand(coeffs: np.ndarray, prior: ScaledBeta):
@@ -343,14 +332,14 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     so only the trace factor needs quadrature. ``prior_h2``, when given,
     replaces the prior in the H2 integrals.
 
-    Every row of the case kernel is integrated by one fixed composite
-    Gauss-Kronrod 10/21 rule, vectorized over rows. The prior's quantiles
-    at the rule's nodes are computed once per ``ScaledBeta`` instance, on
-    its first use here, and kept on it. The row integrals whose error
-    estimate exceeds ``tol / 2`` are refined together by :func:`quad`, one
-    block of rows at a time; ``QuadratureError`` is raised when a row still
-    misses ``tol``. The result reports the largest per-row error estimate
-    and the number of row integrals refined.
+    The kernel's rows are integrated by :func:`quad`, ``_QUAD_BLOCK`` rows
+    at a time: a composite Gauss-Kronrod 10/21 rule whose panels are
+    bisected in the rows whose error estimate exceeds ``tol / 2``. The
+    prior's quantiles at the rule's nodes are computed once per
+    ``ScaledBeta`` instance, on its first use here, and kept on it.
+    ``QuadratureError`` is raised when a row still misses ``tol``. The
+    result reports the largest per-row error estimate and the number of
+    row integrals refined.
     """
     w_r = validate_error_prob(w_r, "w_r")
     tol = validate_positive(tol, "tol")
@@ -359,13 +348,14 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     refined = 0
     for coeffs, dist in ((kernel.c_h1, prior), (kernel.c_t, prior_h2 or prior)):
         w = _node_quantiles(dist)
-        values, errors = _gk21_rows(coeffs, w)
-        redo = np.flatnonzero(errors > 0.5 * tol)
-        for start in range(0, len(redo), _QUAD_BLOCK):
-            rows = redo[start:start + _QUAD_BLOCK]
-            f0 = np.log10(_polyval_rows(coeffs[rows], w))
-            values[rows], errors[rows] = quad(_log10_integrand(coeffs[rows], dist), f0, tol)
-        refined += len(redo)
+        values, errors = np.empty(len(coeffs)), np.empty(len(coeffs))
+        for start in range(0, len(coeffs), _QUAD_BLOCK):
+            block = slice(start, start + _QUAD_BLOCK)
+            f0 = _polyval_rows(coeffs[block], w)     # (rows, nodes), then in place
+            np.log10(f0, out=f0)
+            values[block], errors[block], flagged = quad(
+                _log10_integrand(coeffs[block], dist), f0, tol)
+            refined += flagged
         integrals.append((values, errors))
     (i1, err1), (i2, err2) = integrals
     errors = np.maximum(err1, err2)

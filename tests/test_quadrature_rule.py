@@ -17,17 +17,18 @@ import pytest
 
 from mpmath_reference import PriorReference
 from snpwoe.evidence import CaseData
-from snpwoe.genotypes import hwe_priors
+from snpwoe.genotypes import hwe_prior_array, hwe_priors
 from snpwoe.scaled_beta import ScaledBeta
 from snpwoe.unknown_w import (
+    _PANEL_HALF,
+    _QUAD_BLOCK,
     _QUAD_NODES,
-    _QUAD_WEIGHTS,
-    _W_FLOOR,
     _WG,
     _WGK,
+    _WK21,
     _XGK,
-    _gk21_rows,
     _log10_integrand,
+    _node_quantiles,
     _polyval_rows,
     quad,
     woe_integrate_quad,
@@ -68,6 +69,17 @@ def reference(prior):
     return PriorReference(prior)
 
 
+def refine(rows, prior, tol):
+    """``quad`` on ``rows``, a block at a time: values, error estimates and
+    the number of rows over ``tol / 2`` at level 0; ``tol = inf`` stops at
+    level 0, the composite rule itself."""
+    w = _node_quantiles(prior)
+    blocks = [quad(_log10_integrand(c, prior), np.log10(_polyval_rows(c, w)), tol)
+              for c in np.split(rows, range(_QUAD_BLOCK, len(rows), _QUAD_BLOCK))]
+    values, errors, flagged = zip(*blocks)
+    return np.concatenate(values), np.concatenate(errors), sum(flagged)
+
+
 def test_constants_are_exact_for_polynomials():
     """K21 integrates degree 31 and G10 degree 19 exactly on [-1, 1]."""
     x = np.array([-v for v in _XGK[:-1]] + list(_XGK[::-1]))
@@ -79,18 +91,17 @@ def test_constants_are_exact_for_polynomials():
         assert math.isclose(wk @ x**degree, exact, abs_tol=1e-15)
         if degree < 20:
             assert math.isclose(wg @ gauss**degree, exact, abs_tol=1e-15)
-    assert math.isclose(_QUAD_WEIGHTS.sum(), 1.0, rel_tol=1e-15)
+    assert math.isclose(_PANEL_HALF.sum() * _WK21.sum(), 1.0, rel_tol=1e-15)
     assert np.all((_QUAD_NODES > 0.0) & (_QUAD_NODES < 1.0))
 
 
 @pytest.mark.parametrize("prior,input_error", PRIORS, ids=PRIOR_IDS)
 def test_rows_match_mpmath(prior, input_error):
     ref = reference(prior)
-    w = np.maximum(prior.quantile(_QUAD_NODES), _W_FLOOR)
     for w_r, case in CASES.items():
         kernel = case.kernel(w_r)
         rows = np.concatenate((kernel.c_h1, kernel.c_t))
-        values, errors = _gk21_rows(rows, w)
+        values, errors, _ = refine(rows, prior, math.inf)
         for row, got, reported in zip(rows.tolist(), values.tolist(), errors.tolist()):
             want, ref_error = ref.mean_log10(row)
             assert ref_error <= 1e-11
@@ -110,15 +121,13 @@ def test_tight_tolerance_refines_within_tol(prior, input_error):
     each refined row is within tol of the reference and within its reported
     error, and no case raises."""
     ref = reference(prior)
-    w = np.maximum(prior.quantile(_QUAD_NODES), _W_FLOOR)
     for w_r, case in CASES.items():
         kernel = case.kernel(w_r)
         rows = np.concatenate((kernel.c_h1, kernel.c_t))
-        _, errors = _gk21_rows(rows, w)
+        _, errors, _ = refine(rows, prior, math.inf)
         flagged = rows[errors > 0.5 * TOL]
         if len(flagged):
-            f0 = np.log10(_polyval_rows(flagged, w))
-            values, reported = quad(_log10_integrand(flagged, prior), f0, TOL)
+            values, reported, _ = refine(flagged, prior, TOL)
             assert reported.max() <= TOL
             for row, got, bound in zip(flagged.tolist(), values.tolist(), reported.tolist()):
                 true_error = abs(got - ref.mean_log10(row)[0])
@@ -142,3 +151,22 @@ def test_sharp_transition_row_is_refined_within_tol():
     assert result.quad_fallbacks >= 1
     assert result.quad_abserr <= TOL
     assert abs(result.woe - ref.woe(case, 0.0)) <= TOL
+
+
+@pytest.mark.parametrize("prior", [ScaledBeta(0.6, 2.4), ScaledBeta.from_moments(1e-3, 1e-6)],
+                         ids=["0.6,2.4", "mean1e-3"])
+def test_level_zero_and_children_evaluate_alike(prior):
+    """A refined row sums level-0 panels from ``_polyval_rows`` and child
+    panels from ``_log10_integrand``'s own Horner; at the rule's nodes the
+    two give the same bits."""
+    rng = np.random.default_rng(7)
+    q = rng.uniform(0.05, 0.95, 60)
+    case = CaseData.from_arrays(rng.integers(0, 3, 60), rng.integers(0, 3, 60),
+                                hwe_prior_array(q))
+    kernel = case.kernel(1e-4)
+    rows = np.concatenate((kernel.c_h1, kernel.c_t))
+    level0 = np.log10(_polyval_rows(rows, _node_quantiles(prior)))
+    panels = _QUAD_NODES.reshape(-1, 21)
+    children = _log10_integrand(rows, prior)(np.tile(panels, (len(rows), 1)),
+                                             np.repeat(np.arange(len(rows)), len(panels)))
+    assert np.array_equal(children.reshape(level0.shape), level0)

@@ -201,6 +201,34 @@ class TestIntegrateQuad:
         assert 0.0 < tight.quad_abserr <= 1e-10
         assert math.isclose(tight.woe, plain.woe, rel_tol=0, abs_tol=2e-10)
 
+    def test_block_size_moves_nothing(self, monkeypatch):
+        """A row's panels, splits and sums do not depend on the other rows
+        of its block, so one row per block and the default give the same
+        bits, here with refined rows in several blocks."""
+        rng = np.random.default_rng(36)
+        q = rng.uniform(0.05, 0.95, 400)
+        case = CaseData.from_arrays(rng.integers(0, 3, 400), rng.integers(0, 3, 400),
+                                    hwe_prior_array(q))
+        prior = ScaledBeta(0.6, 2.4)
+        flagged = []
+        real_quad = unknown_w.quad
+
+        def spy(f, f0, tol):
+            result = real_quad(f, f0, tol)
+            flagged.append(result[2])
+            return result
+
+        monkeypatch.setattr(unknown_w, "quad", spy)
+
+        def run():
+            r = woe_integrate_quad(case, prior, 1e-4, tol=1e-10)
+            return r.woe, r.quad_abserr, r.quad_fallbacks
+
+        want = run()
+        assert sum(n > 0 for n in flagged) >= 2
+        monkeypatch.setattr(unknown_w, "_QUAD_BLOCK", 1)
+        assert run() == want
+
     def test_memory_bounded_in_m(self):
         """m = 10^5 markers with per-marker q stay within 150 MB of peak RSS
         above the built case; one (rows x nodes) matrix would be 0.8 GB."""
