@@ -10,8 +10,10 @@ independent, so case-level quantities are sums over markers.
 
 Every method evaluates one per-case coefficient table, :class:`CaseKernel`.
 The channel ``T(w)`` is entrywise quadratic in ``w``, so at a fixed ``w_r``
-an observed pair's probability is ``c_h1 · (1, w, w²)`` under H1 and
-``(c_t · (1, w, w²)) · mr`` under H2, ``mr`` being the reference marginal.
+an observed pair's probability is ``(c_h1 · (1, w, w²)) · mr`` under H1 and
+``(c_t · (1, w, w²)) · mr`` under H2, ``mr`` being the reference marginal and
+``c_h1``, ``c_t`` the trace channel averaged over the genotype's posterior
+given the reference read and over its prior; the LR is their ratio.
 Markers with identical (priors, x_t, x_r) share one row with a count, so a
 method costs O(distinct rows) per ``w``: at most 9 when all markers share a
 prior, m when each has its own allele frequency. Rows are sorted by value.
@@ -296,15 +298,12 @@ def _row_total(counts: np.ndarray, term, w):
     return float(sums[0]) if w.ndim == 0 else sums.reshape(w.shape)
 
 
-def _log10_h2_rows(c_t: np.ndarray, log10_mr: np.ndarray, w,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Per row, ``log10(c_t @ (1, w, w**2)) + log10_mr``, in ``out`` when
-    given."""
-    out = _polyval_rows(c_t, w, out)
+def _log10_rows(coeffs: np.ndarray, w, out: np.ndarray | None = None) -> np.ndarray:
+    """Per row, ``log10(coeffs @ (1, w, w**2))``, -inf where that is 0; in
+    ``out`` when given."""
+    out = _polyval_rows(coeffs, w, out)
     with np.errstate(divide="ignore"):
-        np.log10(out, out=out)
-    out += log10_mr.reshape(log10_mr.shape + (1,) * np.ndim(w))
-    return out
+        return np.log10(out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,14 +313,12 @@ class CaseKernel:
 
     Row ``i`` stands for ``counts[i]`` markers with the observed pair
     ``(x_t[i], x_r[i])`` and one genotype prior, the first of them marker
-    ``first[i]``; marker ``j`` is in row ``inverse[j]``. The row's
-    probability is ``c_h1[i] @ (1, w, w**2)`` under H1 and
-    ``(c_t[i] @ (1, w, w**2)) * 10**log10_mr[i]`` under H2.
-
-    The rows ``mono`` have a prior that puts all mass on one dosage, so
-    their likelihood ratio is 1 at every ``w``: there ``c_h1`` is
-    ``c_t * 10**log10_mr``. Their H1 term is computed by the H2 term's
-    expression, so it cancels exactly.
+    ``first[i]``; marker ``j`` is in row ``inverse[j]``. Given the reference
+    read, of probability ``10**log10_mr[i]`` under both hypotheses, the trace
+    read has probability ``c_h1[i] @ (1, w, w**2)`` under H1 and
+    ``c_t[i] @ (1, w, w**2)`` under H2. A prior that puts all mass on one
+    dosage is its own posterior bit for bit, so its row's ``c_h1`` equals
+    its ``c_t``: a likelihood ratio of exactly 1 at every ``w``.
 
     The per-row methods take ``rows``, a slice, to evaluate only those rows,
     and ``out``, an array of the result's shape to evaluate them in.
@@ -335,33 +332,29 @@ class CaseKernel:
     c_h1: np.ndarray
     c_t: np.ndarray
     log10_mr: np.ndarray
-    mono: np.ndarray
 
     @classmethod
     def build(cls, priors, x_t, x_r, counts, first, inverse, w_r: float) -> CaseKernel:
-        t_r = channel_matrix(w_r)[:, x_r]         # (z, k): T(w_r)[z, x_r]
-        coef_t = CHANNEL_COEFFS[:, :, x_t]        # (j, z, k): A_j[z, x_t]
+        post = priors * channel_matrix(w_r)[:, x_r].T    # (k, z): p_z T(w_r)[z, x_r]
+        mr = post.sum(axis=1)
+        # Divided in place into the genotype's posterior given the reference
+        # read; where that read is impossible the row is already 0.
+        np.divide(post, mr[:, None], out=post, where=mr[:, None] > 0.0)
+        coef_t = CHANNEL_COEFFS[:, :, x_t]               # (j, z, k): A_j[z, x_t]
+        c_h1 = np.einsum("kz,jzk->kj", post, coef_t)
         c_t = np.einsum("kz,jzk->kj", priors, coef_t)
-        c_h1 = np.einsum("kz,zk,jzk->kj", priors, t_r, coef_t)
-        with np.errstate(divide="ignore"):  # -inf is rejected by _supported_kernel
-            log10_mr = np.log10(np.einsum("kz,zk->k", priors, t_r))
-        mono = np.flatnonzero(np.all((priors == 0.0) | (priors == 1.0), axis=1))
-        return cls(x_t, x_r, counts, first, inverse, c_h1, c_t, log10_mr, mono)
+        with np.errstate(divide="ignore"):
+            log10_mr = np.log10(mr)
+        return cls(x_t, x_r, counts, first, inverse, c_h1, c_t, log10_mr)
 
     def log10_h1(self, w, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        """Per-row log10 P(x_t, x_r | H1, w, w_r); -inf at a hard exclusion."""
-        out = _polyval_rows(self.c_h1[rows], w, out)
-        with np.errstate(divide="ignore"):
-            np.log10(out, out=out)
-        if self.mono.size:
-            start, stop, _ = rows.indices(len(self.counts))
-            mono = self.mono[(self.mono >= start) & (self.mono < stop)]
-            out[mono - start] = _log10_h2_rows(self.c_t[mono], self.log10_mr[mono], w)
-        return out
+        """Per-row log10 P(x_t | x_r, H1, w, w_r), conditional on the
+        reference read; -inf at a hard exclusion."""
+        return _log10_rows(self.c_h1[rows], w, out)
 
     def log10_h2(self, w, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        """Per-row log10 P(x_t, x_r | H2, w, w_r)."""
-        return _log10_h2_rows(self.c_t[rows], self.log10_mr[rows], w, out)
+        """Per-row log10 P(x_t | x_r, H2, w, w_r), conditional on the reference read."""
+        return _log10_rows(self.c_t[rows], w, out)
 
     def total(self, term, w):
         """Sum over markers of ``term(w, rows)``, per-row terms such as
@@ -432,13 +425,15 @@ def lr(x_t, x_r, priors: GenotypePriors, w_t: float, w_r: float) -> float:
 def log10_lik_h1(case: CaseData, w_t, w_r: float):
     """Case-level log10 P(evidence | H1, w_t, w_r); ``w_t`` may be an array."""
     kernel = case.kernel(w_r)
-    return kernel.total(kernel.log10_h1, error_prob_array(w_t, "w_t"))
+    return (kernel.total(kernel.log10_h1, error_prob_array(w_t, "w_t"))
+            + _exact_sum(kernel.counts * kernel.log10_mr))
 
 
 def log10_lik_h2(case: CaseData, w_t, w_r: float):
     """Case-level log10 P(evidence | H2, w_t, w_r); ``w_t`` may be an array."""
     kernel = case.kernel(w_r)
-    return kernel.total(kernel.log10_h2, error_prob_array(w_t, "w_t"))
+    return (kernel.total(kernel.log10_h2, error_prob_array(w_t, "w_t"))
+            + _exact_sum(kernel.counts * kernel.log10_mr))
 
 
 def _supported_kernel(case: CaseData, w_t: float | None, w_r: float) -> CaseKernel:

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evidence import (_SUM_BLOCK, CaseData, _exact_sum, _polyval_rows, _supported_kernel,
-                       woe_known)
+from .evidence import _SUM_BLOCK, CaseData, _exact_sum, _log10_rows, _supported_kernel, woe_known
 from .genotypes import validate_error_prob, validate_integer, validate_positive, validate_real
 from .optimize import HALF_OPEN_MARGIN, W_SEARCH_MAX, maximize_on_interval
 from .scaled_beta import ScaledBeta
@@ -328,9 +327,10 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     hypothesis. The integrals run in prior-CDF space (substituting
     ``w_t = quantile(v)``), which concentrates nodes where the prior has
     mass and keeps the endpoint behaviour integrable even for priors with
-    unbounded density. Under H2 the trace and reference factors separate,
-    so only the trace factor needs quadrature. ``prior_h2``, when given,
-    replaces the prior in the H2 integrals.
+    unbounded density. The reference read's probability is the same under
+    both hypotheses and cancels, so only the trace read's, given the
+    reference read, needs quadrature. ``prior_h2``, when given, replaces the
+    prior in the H2 integrals.
 
     The kernel's rows are integrated by :func:`quad`, ``_QUAD_BLOCK`` rows
     at a time: a composite Gauss-Kronrod 10/21 rule whose panels are
@@ -351,10 +351,8 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
         values, errors = np.empty(len(coeffs)), np.empty(len(coeffs))
         for start in range(0, len(coeffs), _QUAD_BLOCK):
             block = slice(start, start + _QUAD_BLOCK)
-            f0 = _polyval_rows(coeffs[block], w)     # (rows, nodes), then in place
-            np.log10(f0, out=f0)
             values[block], errors[block], flagged = quad(
-                _log10_integrand(coeffs[block], dist), f0, tol)
+                _log10_integrand(coeffs[block], dist), _log10_rows(coeffs[block], w), tol)
             refined += flagged
         integrals.append((values, errors))
     (i1, err1), (i2, err2) = integrals
@@ -368,10 +366,7 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
             f"marker pattern(s); worst at marker {worst_label} "
             f"with abserr {worst_err!r}"
         )
-    if prior_h2 is None:   # monomorphic rows in the H2 form, as in CaseKernel.log10_h1
-        i1[kernel.mono] = i2[kernel.mono] + kernel.log10_mr[kernel.mono]
-    total = kernel.counts * (i1 - (i2 + kernel.log10_mr))
-    return WoEResult(_exact_sum(total), METHOD_INTEGRATE_QUAD,
+    return WoEResult(_exact_sum(kernel.counts * (i1 - i2)), METHOD_INTEGRATE_QUAD,
                      quad_abserr=float(errors.max()), quad_fallbacks=refined)
 
 
@@ -402,12 +397,8 @@ def woe_profile(case: CaseData, w_r: float, lower: float = 0.0,
     lower, upper = validate_profile_interval(lower, upper)
     kernel = _supported_kernel(case, None, w_r)
     hi = min(upper, W_SEARCH_MAX)
-    c_h1 = kernel.c_h1
-    if kernel.mono.size:   # steer monomorphic rows as H2, so they cancel as in log10_h1
-        c_h1 = c_h1.copy()
-        c_h1[kernel.mono] = kernel.c_t[kernel.mono]
     w1, v1 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h1, w), lower, hi,
-                                  c_h1, kernel.counts)
+                                  kernel.c_h1, kernel.counts)
     w2, v2 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h2, w), lower, hi,
                                   kernel.c_t, kernel.counts)
     return WoEResult(v1 - v2, METHOD_PROFILE, w_hat_h1=w1, w_hat_h2=w2)

@@ -57,9 +57,8 @@ class PriorReference:
         """The integrate-quad WoE of ``case`` from the reference integrals."""
         kernel = case.kernel(w_r)
         return math.fsum(
-            n * (self.mean_log10(h1)[0] - (self.mean_log10(t)[0] + mr))
-            for n, h1, t, mr in zip(kernel.counts.tolist(), kernel.c_h1.tolist(),
-                                    kernel.c_t.tolist(), kernel.log10_mr.tolist()))
+            n * (self.mean_log10(h1)[0] - self.mean_log10(t)[0])
+            for n, h1, t in zip(kernel.counts.tolist(), kernel.c_h1.tolist(), kernel.c_t.tolist()))
 
     def _integrate(self, coeffs) -> tuple[float, float]:
         with mpmath.workdps(DPS):

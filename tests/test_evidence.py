@@ -1,6 +1,7 @@
 """Joint probabilities under H1/H2, per-marker LR, and known-w WoE."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -293,9 +294,50 @@ class TestCaseKernel:
         h1 = joint_table_h1(priors, w_t, w_r)[a, b]
         h2 = joint_table_h2(priors, w_t, w_r)[a, b]
         v = np.array([1.0, w_t, w_t * w_t])
-        assert math.isclose(kernel.c_h1[0] @ v, h1, rel_tol=1e-12, abs_tol=1e-300)
+        assert math.isclose((kernel.c_h1[0] @ v) * 10.0 ** kernel.log10_mr[0], h1,
+                            rel_tol=1e-12, abs_tol=1e-300)
         assert math.isclose((kernel.c_t[0] @ v) * 10.0 ** kernel.log10_mr[0], h2,
                             rel_tol=1e-12, abs_tol=1e-300)
+
+    @staticmethod
+    def all_pairs_kernel(priors, w_r):
+        """The kernel of all 9 (x_t, x_r) pairs under one prior; marker
+        ``3 * x_r + x_t`` holds the pair (x_t, x_r)."""
+        x_r, x_t = np.divmod(np.arange(9), 3)
+        return CaseData.from_arrays(x_t, x_r, np.tile(priors, (9, 1))).kernel(w_r)
+
+    @pytest.mark.parametrize("w_r", [0.0, 1e-300, 1e-4, 0.3])
+    @pytest.mark.parametrize("z", range(3))
+    def test_point_mass_prior_is_its_own_posterior(self, z, w_r):
+        """A one-hot prior's H1 row equals its H2 row bit for bit, so its
+        likelihood ratio is exactly 1 at every w."""
+        kernel = self.all_pairs_kernel(np.eye(3)[z], w_r)
+        live = np.isfinite(kernel.log10_mr)
+        assert live.any()
+        assert np.array_equal(kernel.c_h1[live], kernel.c_t[live])
+
+    @given(q=st.floats(min_value=0.0, max_value=1.0, exclude_min=True), w_r=error_probs)
+    @settings(max_examples=80)
+    def test_rows_are_conditional_on_the_reference_read(self, q, w_r):
+        """Given a possible reference read, the trace read's probabilities
+        over x_t = 0, 1, 2 sum to 1 at every w under both hypotheses."""
+        kernel = self.all_pairs_kernel(hwe_priors(q).as_array(), w_r)
+        for rows in kernel.inverse.reshape(3, 3):   # one reference read, x_t = 0, 1, 2
+            if np.isfinite(kernel.log10_mr[rows[0]]):
+                for c in (kernel.c_h1, kernel.c_t):
+                    assert np.allclose(c[rows].sum(axis=0), [1.0, 0.0, 0.0], rtol=0.0,
+                                       atol=1e-15)
+
+    def test_impossible_reference_read_builds_quietly(self):
+        """A reference read of probability 0 gives that row c_h1 = 0, with
+        no division warning."""
+        case = CaseData.from_arrays([0, 1], [1, 1], [[1.0, 0.0, 0.0], hwe_priors(0.5).as_array()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = case.kernel(0.0)
+        row = kernel.inverse[0]
+        assert kernel.log10_mr[row] == -np.inf
+        assert np.array_equal(kernel.c_h1[row], np.zeros(3))
 
 
 class TestCaseLogLikelihoods:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from mpmath_reference import PriorReference
-from snpwoe.evidence import CaseData
+from snpwoe.evidence import CaseData, _log10_rows
 from snpwoe.genotypes import hwe_prior_array, hwe_priors
 from snpwoe.scaled_beta import ScaledBeta
 from snpwoe.unknown_w import (
@@ -29,7 +29,6 @@ from snpwoe.unknown_w import (
     _XGK,
     _log10_integrand,
     _node_quantiles,
-    _polyval_rows,
     quad,
     woe_integrate_quad,
 )
@@ -74,7 +73,7 @@ def refine(rows, prior, tol):
     the number of rows over ``tol / 2`` at level 0; ``tol = inf`` stops at
     level 0, the composite rule itself."""
     w = _node_quantiles(prior)
-    blocks = [quad(_log10_integrand(c, prior), np.log10(_polyval_rows(c, w)), tol)
+    blocks = [quad(_log10_integrand(c, prior), _log10_rows(c, w), tol)
               for c in np.split(rows, range(_QUAD_BLOCK, len(rows), _QUAD_BLOCK))]
     values, errors, flagged = zip(*blocks)
     return np.concatenate(values), np.concatenate(errors), sum(flagged)
@@ -156,7 +155,7 @@ def test_sharp_transition_row_is_refined_within_tol():
 @pytest.mark.parametrize("prior", [ScaledBeta(0.6, 2.4), ScaledBeta.from_moments(1e-3, 1e-6)],
                          ids=["0.6,2.4", "mean1e-3"])
 def test_level_zero_and_children_evaluate_alike(prior):
-    """A refined row sums level-0 panels from ``_polyval_rows`` and child
+    """A refined row sums level-0 panels from ``_log10_rows`` and child
     panels from ``_log10_integrand``'s own Horner; at the rule's nodes the
     two give the same bits."""
     rng = np.random.default_rng(7)
@@ -165,7 +164,7 @@ def test_level_zero_and_children_evaluate_alike(prior):
                                 hwe_prior_array(q))
     kernel = case.kernel(1e-4)
     rows = np.concatenate((kernel.c_h1, kernel.c_t))
-    level0 = np.log10(_polyval_rows(rows, _node_quantiles(prior)))
+    level0 = _log10_rows(rows, _node_quantiles(prior))
     panels = _QUAD_NODES.reshape(-1, 21)
     children = _log10_integrand(rows, prior)(np.tile(panels, (len(rows), 1)),
                                              np.repeat(np.arange(len(rows)), len(panels)))
