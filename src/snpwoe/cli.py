@@ -259,6 +259,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.summary and os.path.realpath(args.summary) == os.path.realpath(args.records):
+        raise UsageError(f"--records and --summary name the same file: {args.records}")
     config = load_study_config(args.config)
     outputs = [args.records] + ([args.summary] if args.summary else [])
     # Outputs are written beside themselves and renamed into place at the

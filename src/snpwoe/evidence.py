@@ -169,12 +169,14 @@ class CaseData:
 
 def _polyval_rows(coeffs: np.ndarray, w, out: np.ndarray | None = None) -> np.ndarray:
     """Each row's polynomial (coefficients lowest degree first) at ``w`` by
-    Horner's rule, elementwise so that a row's value does not depend on its
-    position; scalar ``w`` gives shape (k,), shape ``s`` gives (k,) + s.
-    Above degree 0 the result is evaluated in place, in ``out`` when given
-    (of the result's shape), else in a new array."""
+    Horner's rule, elementwise so that a value depends on neither its row's
+    position nor the form of ``w``: scalar ``w`` gives shape (k,); 1-D ``w``
+    of n points, shared by every row, gives (k, n); 2-D ``w`` of shape
+    (k, n) gives row ``i`` its own points ``w[i]``. Above degree 0 the
+    result is evaluated in place, in ``out`` when given (of the result's
+    shape), else in a new array."""
     w = np.asarray(w, dtype=float)
-    c = coeffs.reshape(coeffs.shape + (1,) * w.ndim)
+    c = coeffs if w.ndim == 0 else coeffs[:, :, None]
     result = c[:, -1]
     for j in range(coeffs.shape[1] - 2, -1, -1):
         result = np.multiply(result, w, out=out if j == coeffs.shape[1] - 2 else result)
@@ -290,9 +292,12 @@ def _row_total(counts: np.ndarray, term, w):
     if not w.size:
         return np.empty(w.shape)
     step = max(1, _SUM_BLOCK // w.size)
+    # A 2-D ``w`` would give each row its own points, so flatten one; a
+    # scalar stays a scalar, whose evaluation is cheaper than a 1-point array's.
+    points = w.ravel() if w.ndim > 1 else w
 
     def block(rows: slice) -> np.ndarray:
-        return counts[rows, None] * term(w, rows).reshape(-1, w.size)
+        return counts[rows, None] * term(points, rows).reshape(-1, w.size)
 
     sums = _exact_sums(block(slice(i, i + step)) for i in range(0, len(counts), step))
     return float(sums[0]) if w.ndim == 0 else sums.reshape(w.shape)
@@ -320,7 +325,8 @@ class CaseKernel:
     dosage is its own posterior bit for bit, so its row's ``c_h1`` equals
     its ``c_t``: a likelihood ratio of exactly 1 at every ``w``.
 
-    The per-row methods take ``rows``, a slice, to evaluate only those rows,
+    The per-row methods take ``rows``, a slice or an index array, to
+    evaluate only those rows, ``w`` in any form :func:`_polyval_rows` takes,
     and ``out``, an array of the result's shape to evaluate them in.
     """
 
@@ -347,14 +353,20 @@ class CaseKernel:
             log10_mr = np.log10(mr)
         return cls(x_t, x_r, counts, first, inverse, c_h1, c_t, log10_mr)
 
-    def log10_h1(self, w, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+    def log10_h1(self, w, rows=slice(None), out: np.ndarray | None = None) -> np.ndarray:
         """Per-row log10 P(x_t | x_r, H1, w, w_r), conditional on the
         reference read; -inf at a hard exclusion."""
         return _log10_rows(self.c_h1[rows], w, out)
 
-    def log10_h2(self, w, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+    def log10_h2(self, w, rows=slice(None), out: np.ndarray | None = None) -> np.ndarray:
         """Per-row log10 P(x_t | x_r, H2, w, w_r), conditional on the reference read."""
         return _log10_rows(self.c_t[rows], w, out)
+
+    def log10_lr(self, w, rows=slice(None)) -> np.ndarray:
+        """Per-row log10 likelihood ratio, :meth:`log10_h1` less :meth:`log10_h2`."""
+        lr = self.log10_h1(w, rows)
+        lr -= self.log10_h2(w, rows)
+        return lr
 
     def total(self, term, w):
         """Sum over markers of ``term(w, rows)``, per-row terms such as
@@ -469,7 +481,7 @@ def woe_known(case: CaseData, w_t: float, w_r: float) -> float:
     w_r = validate_error_prob(w_r, "w_r")   # first, so woe_plugin's errors name w_r
     w_t = validate_error_prob(w_t, "w_t")
     kernel = _supported_kernel(case, w_t, w_r)
-    return kernel.total(lambda w, rows: kernel.log10_h1(w, rows) - kernel.log10_h2(w, rows), w_t)
+    return kernel.total(kernel.log10_lr, w_t)
 
 
 def per_marker_log10_lr(case: CaseData, w_t: float, w_r: float) -> np.ndarray:
@@ -477,4 +489,4 @@ def per_marker_log10_lr(case: CaseData, w_t: float, w_r: float) -> np.ndarray:
     w_t = validate_error_prob(w_t, "w_t")
     w_r = validate_error_prob(w_r, "w_r")
     kernel = _supported_kernel(case, w_t, w_r)
-    return (kernel.log10_h1(w_t) - kernel.log10_h2(w_t))[kernel.inverse]
+    return kernel.log10_lr(w_t)[kernel.inverse]

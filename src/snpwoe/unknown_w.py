@@ -4,9 +4,9 @@ The reference sample is genotyped under controlled conditions, so its error
 probability ``w_r`` is treated as known throughout. The trace error
 probability ``w_t`` is handled one of four ways:
 
-- ``integrate-mc`` / ``integrate-quad``: average the per-hypothesis
-  likelihood over a prior on ``w_t`` (Monte Carlo or deterministic
-  quadrature of the same integral);
+- ``integrate-mc`` / ``integrate-quad``: average each marker's
+  log-likelihood ratio over a prior on ``w_t`` (Monte Carlo or
+  deterministic quadrature of the same integral);
 - ``profile``: maximize each hypothesis's likelihood separately over
   ``w_t`` and take the ratio of maxima;
 - ``plug-in``: pretend the trace was genotyped as cleanly as the
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evidence import _SUM_BLOCK, CaseData, _exact_sum, _log10_rows, _supported_kernel, woe_known
+from .evidence import _SUM_BLOCK, CaseData, _exact_sum, _supported_kernel, woe_known
 from .genotypes import validate_error_prob, validate_integer, validate_positive, validate_real
 from .optimize import HALF_OPEN_MARGIN, W_SEARCH_MAX, maximize_on_interval
 from .scaled_beta import ScaledBeta
@@ -73,9 +73,9 @@ class WoEResult:
     ``w_hat_h1``/``w_hat_h2`` are the per-hypothesis maximizers and are
     present exactly for the profile method; ``mc_std_error``, the standard
     error of the Monte Carlo mean, is present exactly for ``integrate-mc``;
-    ``quad_abserr`` (the largest per-row error estimate over both
-    hypotheses) and ``quad_fallbacks`` (the number of row integrals refined
-    by adaptive bisection) are present exactly for ``integrate-quad``.
+    ``quad_abserr`` (the largest per-row error estimate) and
+    ``quad_fallbacks`` (the number of row integrals refined by adaptive
+    bisection) are present exactly for ``integrate-quad``.
     """
 
     woe: float
@@ -123,8 +123,7 @@ def woe_plugin(case: CaseData, w_r: float) -> WoEResult:
 
 
 def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
-                     rng: np.random.Generator, n_samples: int = 1000,
-                     prior_h2: ScaledBeta | None = None) -> WoEResult:
+                     rng: np.random.Generator, n_samples: int = 1000) -> WoEResult:
     """Prior-predictive WoE by Monte Carlo over ``w_t``.
 
     One set of ``n_samples`` prior draws, floored at ``_W_FLOOR`` as
@@ -135,17 +134,11 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
     the correctly rounded mean of these per-draw sums, and the standard
     error of that mean is reported alongside. Rows are taken one block at a
     time, so memory does not grow with m.
-
-    ``prior_h2`` optionally gives H2 its own prior; the H1 draw vector is
-    then generated first and an independent H2 vector second, so common
-    random numbers no longer apply.
     """
     w_r = validate_error_prob(w_r, "w_r")
     n_samples = validate_integer(n_samples, "n_samples", 2)
     kernel = _supported_kernel(case, None, w_r)
     draws = np.maximum(prior.sample(rng, n_samples), _W_FLOOR)
-    draws_h2 = draws if prior_h2 is None else np.maximum(prior_h2.sample(rng, n_samples),
-                                                         _W_FLOOR)
     step = max(1, _SUM_BLOCK // n_samples)
     # Row 0 of the buffer carries each draw's sum over the rows before the
     # block, so the per-draw sums add the rows one by one in order, as one
@@ -158,7 +151,7 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
         rows = slice(start, start + step)
         k = min(step, m - start)
         diff = kernel.log10_h1(draws, rows, out=buffer[1:k + 1])
-        diff -= kernel.log10_h2(draws_h2, rows, out=h2[:k])
+        diff -= kernel.log10_h2(draws, rows, out=h2[:k])
         diff *= kernel.counts[rows, None]
         buffer[0] = buffer[:k + 1].sum(axis=0)
     per_draw = buffer[0]
@@ -301,36 +294,28 @@ def quad(f, f0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     return np.bincount(row, value, n), error, flagged
 
 
-def _log10_integrand(coeffs: np.ndarray, prior: ScaledBeta):
-    """``quad``'s integrand ``log10(c0 + w*(c1 + w*c2))`` for the rows
-    ``coeffs``, at ``w`` the prior's quantiles floored at ``_W_FLOOR``: one
-    ``prior.quantile`` call per evaluation, on the distinct points only,
-    since the rows mostly split the same panels."""
+def _integrand(term, prior: ScaledBeta, start: int):
+    """``quad``'s integrand for the block of rows from ``start``: the per-row
+    ``term(w, rows)``, such as ``CaseKernel.log10_lr``, at ``w`` the prior's
+    quantiles floored at ``_W_FLOOR``. One ``prior.quantile`` call per
+    evaluation, on the distinct points only, since the rows mostly split the
+    same panels."""
     def f(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
         points, where = np.unique(v.ravel(), return_inverse=True)
         w = np.maximum(prior.quantile(points), _W_FLOOR)[where.reshape(v.shape)]
-        c = coeffs[rows, :, None]
-        out = c[:, 2] * w
-        out += c[:, 1]
-        out *= w
-        out += c[:, 0]
-        return np.log10(out, out=out)
+        return term(w, rows + start)
     return f
 
 
 def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
-                       tol: float = 1e-8,
-                       prior_h2: ScaledBeta | None = None) -> WoEResult:
+                       tol: float = 1e-8) -> WoEResult:
     """Prior-predictive WoE by deterministic quadrature over ``w_t``.
 
-    Each marker contributes ``E_prior[log10 P(evidence | H, w_t)]`` per
-    hypothesis. The integrals run in prior-CDF space (substituting
-    ``w_t = quantile(v)``), which concentrates nodes where the prior has
-    mass and keeps the endpoint behaviour integrable even for priors with
-    unbounded density. The reference read's probability is the same under
-    both hypotheses and cancels, so only the trace read's, given the
-    reference read, needs quadrature. ``prior_h2``, when given, replaces the
-    prior in the H2 integrals.
+    Each marker contributes ``E_prior[log10 LR(w_t)]``, one integral per
+    kernel row of the term :func:`~snpwoe.evidence.woe_known` sums. The
+    integrals run in prior-CDF space (substituting ``w_t = quantile(v)``),
+    which concentrates nodes where the prior has mass and keeps the endpoint
+    behaviour integrable even for priors with unbounded density.
 
     The kernel's rows are integrated by :func:`quad`, ``_QUAD_BLOCK`` rows
     at a time: a composite Gauss-Kronrod 10/21 rule whose panels are
@@ -344,19 +329,15 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     w_r = validate_error_prob(w_r, "w_r")
     tol = validate_positive(tol, "tol")
     kernel = _supported_kernel(case, None, w_r)
-    integrals = []
+    w = _node_quantiles(prior)
+    m = len(kernel.counts)
+    values, errors = np.empty(m), np.empty(m)
     refined = 0
-    for coeffs, dist in ((kernel.c_h1, prior), (kernel.c_t, prior_h2 or prior)):
-        w = _node_quantiles(dist)
-        values, errors = np.empty(len(coeffs)), np.empty(len(coeffs))
-        for start in range(0, len(coeffs), _QUAD_BLOCK):
-            block = slice(start, start + _QUAD_BLOCK)
-            values[block], errors[block], flagged = quad(
-                _log10_integrand(coeffs[block], dist), _log10_rows(coeffs[block], w), tol)
-            refined += flagged
-        integrals.append((values, errors))
-    (i1, err1), (i2, err2) = integrals
-    errors = np.maximum(err1, err2)
+    for start in range(0, m, _QUAD_BLOCK):
+        block = slice(start, start + _QUAD_BLOCK)
+        values[block], errors[block], flagged = quad(
+            _integrand(kernel.log10_lr, prior, start), kernel.log10_lr(w, block), tol)
+        refined += flagged
     bad = np.flatnonzero(errors > tol)
     if bad.size:
         worst_err, worst_label = max((err, case.marker_label(int(kernel.first[i])))
@@ -366,7 +347,7 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
             f"marker pattern(s); worst at marker {worst_label} "
             f"with abserr {worst_err!r}"
         )
-    return WoEResult(_exact_sum(kernel.counts * (i1 - i2)), METHOD_INTEGRATE_QUAD,
+    return WoEResult(_exact_sum(kernel.counts * values), METHOD_INTEGRATE_QUAD,
                      quad_abserr=float(errors.max()), quad_fallbacks=refined)
 
 

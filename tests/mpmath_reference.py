@@ -48,6 +48,17 @@ class PriorReference:
 
     def mean_log10(self, coeffs) -> tuple[float, float]:
         """(value, mpmath's error estimate) of one row's integral."""
+        value, error = self._mean_log10(coeffs)
+        return float(value), error
+
+    def mean_log10_lr(self, h1, t) -> tuple[float, float]:
+        """(value, error estimate) of the integral of ``log10(h1 / t)``, the
+        difference of the two rows' integrals taken at 30 digits."""
+        (v1, e1), (v2, e2) = self._mean_log10(h1), self._mean_log10(t)
+        with mpmath.workdps(DPS):
+            return float(v1 - v2), e1 + e2
+
+    def _mean_log10(self, coeffs):
         key = tuple(float(c) for c in coeffs)
         if key not in self._done:
             self._done[key] = self._integrate(key)
@@ -73,5 +84,5 @@ class PriorReference:
 
             value, error = mpmath.quad(ln_row, self.points, error=True, maxdegree=MAXDEGREE)
             ln10 = mpmath.ln(10)
-            return float(value / ln10), float(error / ln10)
+            return value / ln10, float(error / ln10)
 

@@ -174,14 +174,13 @@ def _per_marker_log10_matrix(case, draws, w_r, table_fn):
     return np.column_stack(cols)
 
 
-def woe_integrate_mc(case, prior, w_r, rng, n_samples=1000, prior_h2=None):
+def woe_integrate_mc(case, prior, w_r, rng, n_samples=1000):
     """(woe, mc_std_error)."""
     w_r = validate_error_prob(w_r, "w_r")
     check_h2_support(case, None, w_r)
     draws = prior.sample(rng, n_samples)
-    draws_h2 = draws if prior_h2 is None else prior_h2.sample(rng, n_samples)
     l1 = _per_marker_log10_matrix(case, draws, w_r, joint_table_h1)
-    l2 = _per_marker_log10_matrix(case, draws_h2, w_r, joint_table_h2)
+    l2 = _per_marker_log10_matrix(case, draws, w_r, joint_table_h2)
     diff = l1 - l2
     woe = math.fsum(diff.ravel().tolist()) / n_samples
     per_draw = diff.sum(axis=1)
@@ -196,10 +195,9 @@ def _quad_log10_mean(integrand, tol):
     return value, abserr, ok
 
 
-def woe_integrate_quad(case, prior, w_r, tol=1e-8, prior_h2=None):
+def woe_integrate_quad(case, prior, w_r, tol=1e-8):
     w_r = validate_error_prob(w_r, "w_r")
     check_h2_support(case, None, w_r)
-    p_h2 = prior if prior_h2 is None else prior_h2
     labels = {}
     for idx, mk in enumerate(markers(case)):
         labels.setdefault((mk.priors, mk.x_t, mk.x_r),
@@ -220,7 +218,7 @@ def woe_integrate_quad(case, prior, w_r, tol=1e-8, prior_h2=None):
                     return math.log10(joint_table_h1(_p, w, w_r)[_a, _b])
 
                 def h2_trace_at(v, _a=a, _p=priors):
-                    w = max(p_h2.quantile(v), _W_FLOOR)
+                    w = max(prior.quantile(v), _W_FLOOR)
                     return math.log10(trace_marginal(_p, w)[_a])
 
                 i1, err1, ok1 = _quad_log10_mean(h1_at, tol)

@@ -348,6 +348,19 @@ class TestSimulateAndEce:
                      "--quiet"]) == EXIT_DATA
         capsys.readouterr()
 
+    def test_same_records_and_summary_path_exits_2_before_running(self, tmp_path, capsys):
+        cfg = tmp_path / "study.yaml"
+        cfg.write_text(CONFIG_TEXT)
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "out.csv"
+        out.write_text("earlier results\n")
+        for summary in (out, tmp_path / "sub" / ".." / "out.csv"):
+            assert main(["simulate", str(cfg), "--records", str(out),
+                         "--summary", str(summary), "--quiet"]) == EXIT_USAGE
+            assert "same file" in capsys.readouterr().err
+        assert out.read_text() == "earlier results\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "study.yaml", "sub"]
+
     def test_failing_method_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "study.yaml"
         cfg.write_text(CONFIG_TEXT.replace(

@@ -14,6 +14,7 @@ from snpwoe.evidence import (
     CaseData,
     DegenerateCaseError,
     MarkerObservation,
+    _polyval_rows,
     joint_prob_h1,
     joint_prob_h2,
     joint_table_h1,
@@ -365,8 +366,35 @@ class TestCaseLogLikelihoods:
         assert math.isclose(out[1], log10_lik_h1(case, 1e-2, 1e-4), rel_tol=1e-14)
 
     @pytest.mark.parametrize("lik", [log10_lik_h1, log10_lik_h2])
+    def test_two_dimensional_w_is_the_flat_result_reshaped(self, lik):
+        case = random_case(np.random.default_rng(9), m=40, n_priors=3)
+        ws = np.array([[1e-4, 1e-3, 0.02], [0.1, 0.3, 0.49]])
+        out = lik(case, ws, 1e-4)
+        assert out.shape == (2, 3)
+        assert out.tobytes() == lik(case, ws.ravel(), 1e-4).reshape(2, 3).tobytes()
+
+    @pytest.mark.parametrize("lik", [log10_lik_h1, log10_lik_h2])
     @pytest.mark.parametrize("shape", [(0,), (2, 0)])
     def test_empty_w_gives_empty_array(self, lik, shape):
         case = random_case(np.random.default_rng(7), m=8)
         out = lik(case, np.zeros(shape), 1e-4)
         assert isinstance(out, np.ndarray) and out.shape == shape
+
+
+class TestPolyvalRows:
+    @pytest.mark.parametrize("degree", [2, 4])
+    def test_per_row_points(self, degree):
+        """A 2-D ``w`` gives each row its own points: exactly the bits that
+        row gets when evaluated alone, and the bits of the 1-D form when
+        every row has the same points."""
+        rng = np.random.default_rng(10)
+        coeffs = rng.normal(size=(6, degree + 1)) * 10.0 ** rng.integers(-12, 3, (6, 1))
+        w = rng.uniform(0.0, 0.5, (6, 7))
+        per_row = _polyval_rows(coeffs, w)
+        assert per_row.shape == (6, 7)
+        for i in range(6):
+            assert per_row[i].tobytes() == _polyval_rows(coeffs[i:i + 1], w[i])[0].tobytes()
+            alone = [_polyval_rows(coeffs[i:i + 1], point)[0] for point in w[i].tolist()]
+            assert per_row[i].tobytes() == np.array(alone).tobytes()
+        shared = _polyval_rows(coeffs, np.tile(w[0], (6, 1)))
+        assert shared.tobytes() == _polyval_rows(coeffs, w[0]).tobytes()

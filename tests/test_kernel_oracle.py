@@ -173,38 +173,32 @@ class TestExactMethods:
 
 
 class TestIntegrationAndProfile:
-    @given(case=cases(), w_r=error_probs, seed=st.integers(0, 2**32 - 1),
-           distinct_h2=st.booleans())
+    @given(case=cases(), w_r=error_probs, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_monte_carlo(self, case, w_r, seed, distinct_h2):
+    def test_monte_carlo(self, case, w_r, seed):
         prior = ScaledBeta.from_moments(1e-2, 1e-5)
-        prior_h2 = ScaledBeta.from_moments(3e-3, 1e-6) if distinct_h2 else None
 
         def new():
-            r = woe_integrate_mc(case, prior, w_r, np.random.default_rng(seed),
-                                 n_samples=200, prior_h2=prior_h2)
+            r = woe_integrate_mc(case, prior, w_r, np.random.default_rng(seed), n_samples=200)
             return r.woe, r.mc_std_error
 
         old = outcome(oracle.woe_integrate_mc, case, prior, w_r,
-                      np.random.default_rng(seed), 200, prior_h2)
+                      np.random.default_rng(seed), 200)
         got = outcome(new)
         assert got[1] == old[1]
         if old[1] is None:
             assert_close(got[0][0], old[0][0])
             assert math.isclose(got[0][1], old[0][1], rel_tol=1e-9, abs_tol=1e-12)
 
-    @pytest.mark.parametrize("distinct_h2", [False, True])
-    def test_monte_carlo_per_marker_q_at_m_2000(self, distinct_h2):
+    def test_monte_carlo_per_marker_q_at_m_2000(self):
         """The mean of the per-draw sums against the oracle's exact sum of
         every marker's and draw's term."""
         rng = np.random.default_rng(36)
         case = CaseData.from_arrays(rng.integers(0, 3, 2000), rng.integers(0, 3, 2000),
                                     hwe_prior_array(rng.uniform(0.05, 0.95, 2000)))
         prior = ScaledBeta.from_moments(1e-3, 1e-6)
-        prior_h2 = ScaledBeta.from_moments(3e-3, 1e-6) if distinct_h2 else None
-        r = woe_integrate_mc(case, prior, 1e-4, np.random.default_rng(37), prior_h2=prior_h2)
-        woe, se = oracle.woe_integrate_mc(case, prior, 1e-4, np.random.default_rng(37),
-                                          1000, prior_h2)
+        r = woe_integrate_mc(case, prior, 1e-4, np.random.default_rng(37))
+        woe, se = oracle.woe_integrate_mc(case, prior, 1e-4, np.random.default_rng(37), 1000)
         assert_close(r.woe, woe)
         assert math.isclose(r.mc_std_error, se, rel_tol=1e-9)
 

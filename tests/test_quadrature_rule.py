@@ -1,6 +1,7 @@
 """The composite Gauss-Kronrod rule of ``integrate-quad`` and its adaptive
 refinement against a 30-digit ``mpmath.quad`` reference
-(``mpmath_reference``), row by row.
+(``mpmath_reference``), row by row: on each hypothesis's rows and on the
+log10 LR rows that ``integrate-quad`` integrates.
 
 Rows are every observed pair at HWE priors with q in {0.05, 0.5, 0.9,
 1 - 1e-7} and at the explicit zero priors, for w_r in {0, 1e-5, 1e-4}; the
@@ -27,7 +28,7 @@ from snpwoe.unknown_w import (
     _WGK,
     _WK21,
     _XGK,
-    _log10_integrand,
+    _integrand,
     _node_quantiles,
     quad,
     woe_integrate_quad,
@@ -43,6 +44,13 @@ TOL = 1e-10
 PRIORS = ([(ScaledBeta.from_moments(mu, var), 0.0) for mu, var, *_ in PRIOR_TABLE]
           + [(ScaledBeta(1.0, 1.0), 0.0), (ScaledBeta(0.5, 0.5), 0.0)]
           + [(ScaledBeta.from_moments(w0, w0 * w0 * 1e-8), 2e-13) for w0 in (1e-4, 1e-3, 1e-2)])
+# An LR row's integrand is the difference of two rounded log10 values, each
+# off by up to about eps relative to itself, plus eps absolute near 0 from
+# the rounding of a probability near 1. The reference takes the difference
+# at 30 digits, so an LR row is also allowed eps * (1 + |I1| + |I2|), I1
+# and I2 its H1 and H2 integrals: far below tol, but above the rule's own
+# estimate where the LR is tiny.
+EPS = np.finfo(float).eps
 GENOTYPE_PRIORS = [hwe_priors(q) for q in (0.05, 0.5, 0.9, 1.0 - 1e-7)] + list(ZERO_PRIORS)
 W_R = (0.0, 1e-5, 1e-4)
 
@@ -68,15 +76,63 @@ def reference(prior):
     return PriorReference(prior)
 
 
-def refine(rows, prior, tol):
-    """``quad`` on ``rows``, a block at a time: values, error estimates and
+def refine(term, k, prior, tol):
+    """``quad`` on the ``k`` rows of the per-row ``term(w, rows)``, a block
+    at a time as ``integrate-quad`` takes them: values, error estimates and
     the number of rows over ``tol / 2`` at level 0; ``tol = inf`` stops at
     level 0, the composite rule itself."""
     w = _node_quantiles(prior)
-    blocks = [quad(_log10_integrand(c, prior), _log10_rows(c, w), tol)
-              for c in np.split(rows, range(_QUAD_BLOCK, len(rows), _QUAD_BLOCK))]
+    blocks = [quad(_integrand(term, prior, start), term(w, slice(start, start + _QUAD_BLOCK)), tol)
+              for start in range(0, k, _QUAD_BLOCK)]
     values, errors, flagged = zip(*blocks)
     return np.concatenate(values), np.concatenate(errors), sum(flagged)
+
+
+def log10_term(coeffs):
+    """The per-row term ``log10(coeffs[rows] @ (1, w, w**2))``."""
+    return lambda w, rows: _log10_rows(coeffs[rows], w)
+
+
+def row_terms(kernel, ref, input_error):
+    """(term, reference integrals, input errors) for the kernel's H1 and H2
+    rows, one integral per row, and for its log10 LR rows."""
+    rows = np.concatenate((kernel.c_h1, kernel.c_t))
+    pairs = zip(kernel.c_h1.tolist(), kernel.c_t.tolist())
+    refs = [ref.mean_log10(row) for row in rows.tolist()], [ref.mean_log10_lr(*p) for p in pairs]
+    want = []
+    for values in refs:
+        assert max(error for _, error in values) <= 1e-11
+        want.append(np.array([value for value, _ in values]))
+    i1, i2 = np.split(np.abs(want[0]), 2)
+    return ((log10_term(rows), want[0], np.full(len(rows), input_error)),
+            (kernel.log10_lr, want[1], input_error + EPS * (1.0 + i1 + i2)))
+
+
+def check_level_zero(term, want, input_error, prior, w_r):
+    """Each row's rule value is within TOL of the reference and within its
+    reported error plus its input error; returns the reported errors."""
+    values, errors, _ = refine(term, len(want), prior, math.inf)
+    for i, (got, reported) in enumerate(zip(values.tolist(), errors.tolist())):
+        true_error = abs(got - want[i])
+        assert true_error <= TOL, (w_r, i)
+        assert true_error <= reported + input_error[i], (w_r, i, got, want[i], reported)
+    return errors
+
+
+def check_refined(term, want, input_error, prior, w_r):
+    """The rows whose rule estimate exceeds TOL/2, refined at tol = TOL, are
+    each within TOL of the reference and within their reported error;
+    returns their number."""
+    _, errors, _ = refine(term, len(want), prior, math.inf)
+    flagged = np.flatnonzero(errors > 0.5 * TOL)
+    if len(flagged):
+        values, reported, _ = refine(lambda w, rows: term(w, flagged[rows]), len(flagged),
+                                     prior, TOL)
+        assert reported.max() <= TOL
+        for i, got, bound in zip(flagged.tolist(), values.tolist(), reported.tolist()):
+            true_error = abs(got - want[i])
+            assert true_error <= min(TOL, bound + input_error[i]), (w_r, i, got, bound)
+    return len(flagged)
 
 
 def test_constants_are_exact_for_polynomials():
@@ -99,19 +155,14 @@ def test_rows_match_mpmath(prior, input_error):
     ref = reference(prior)
     for w_r, case in CASES.items():
         kernel = case.kernel(w_r)
-        rows = np.concatenate((kernel.c_h1, kernel.c_t))
-        values, errors, _ = refine(rows, prior, math.inf)
-        for row, got, reported in zip(rows.tolist(), values.tolist(), errors.tolist()):
-            want, ref_error = ref.mean_log10(row)
-            assert ref_error <= 1e-11
-            true_error = abs(got - want)
-            assert true_error <= TOL, (w_r, row)
-            assert true_error <= reported + input_error, (w_r, row, got, want, reported)
-        # At the default tol every row stays on the rule.
+        hypotheses, lr = row_terms(kernel, ref, input_error)
+        check_level_zero(*hypotheses, prior, w_r)
+        errors = check_level_zero(*lr, prior, w_r)
+        # At the default tol every LR row stays on the rule.
         result = woe_integrate_quad(case, prior, w_r)
         assert result.quad_fallbacks == 0
         assert result.quad_abserr == errors.max()
-        assert abs(result.woe - ref.woe(case, w_r)) <= TOL * len(rows)
+        assert abs(result.woe - ref.woe(case, w_r)) <= TOL * case.m
 
 
 @pytest.mark.parametrize("prior,input_error", PRIORS, ids=PRIOR_IDS)
@@ -122,32 +173,32 @@ def test_tight_tolerance_refines_within_tol(prior, input_error):
     ref = reference(prior)
     for w_r, case in CASES.items():
         kernel = case.kernel(w_r)
-        rows = np.concatenate((kernel.c_h1, kernel.c_t))
-        _, errors, _ = refine(rows, prior, math.inf)
-        flagged = rows[errors > 0.5 * TOL]
-        if len(flagged):
-            values, reported, _ = refine(flagged, prior, TOL)
-            assert reported.max() <= TOL
-            for row, got, bound in zip(flagged.tolist(), values.tolist(), reported.tolist()):
-                true_error = abs(got - ref.mean_log10(row)[0])
-                assert true_error <= min(TOL, bound + input_error), (w_r, row, got, bound)
+        hypotheses, lr = row_terms(kernel, ref, input_error)
+        check_refined(*hypotheses, prior, w_r)
+        flagged = check_refined(*lr, prior, w_r)
         result = woe_integrate_quad(case, prior, w_r, tol=TOL)
-        assert result.quad_fallbacks == len(flagged)
+        assert result.quad_fallbacks == flagged
         assert result.quad_abserr <= TOL
-        assert abs(result.woe - ref.woe(case, w_r)) <= TOL * len(rows)
+        assert abs(result.woe - ref.woe(case, w_r)) <= TOL * case.m
 
 
 def test_sharp_transition_row_is_refined_within_tol():
     """The H2 row of a trace heterozygote at q = 1 - 1e-12 is about
     (2e-12, 2, -2): its integrand turns from log-linear to flat near
-    w = 1e-12. At tol = 1e-10 it is refined to within tol of the reference."""
+    w = 1e-12. At tol = 1e-10 it is refined to within tol of the reference.
+    The H1 row turns alike, so the marker's LR row is smooth and stays on
+    the rule."""
     prior = ScaledBeta(0.6, 2.4)
     case = CaseData.from_arrays([1], [0], [hwe_priors(1.0 - 1e-12).as_array()])
     kernel = case.kernel(0.0)
     assert np.allclose(kernel.c_t, [[2e-12, 2.0, -2.0]], rtol=1e-3)
     ref = reference(prior)
+    values, errors, flagged = refine(log10_term(kernel.c_t), 1, prior, TOL)
+    assert flagged == 1
+    assert errors[0] <= TOL
+    assert abs(values[0] - ref.mean_log10(kernel.c_t[0])[0]) <= TOL
     result = woe_integrate_quad(case, prior, 0.0, tol=TOL)
-    assert result.quad_fallbacks >= 1
+    assert result.quad_fallbacks == 0
     assert result.quad_abserr <= TOL
     assert abs(result.woe - ref.woe(case, 0.0)) <= TOL
 
@@ -155,17 +206,20 @@ def test_sharp_transition_row_is_refined_within_tol():
 @pytest.mark.parametrize("prior", [ScaledBeta(0.6, 2.4), ScaledBeta.from_moments(1e-3, 1e-6)],
                          ids=["0.6,2.4", "mean1e-3"])
 def test_level_zero_and_children_evaluate_alike(prior):
-    """A refined row sums level-0 panels from ``_log10_rows`` and child
-    panels from ``_log10_integrand``'s own Horner; at the rule's nodes the
-    two give the same bits."""
+    """A refined row sums level-0 panels, evaluated on the nodes every row
+    shares, and child panels, evaluated on per-row points through
+    ``_integrand``; at the rule's nodes the two give the same bits, for each
+    hypothesis's rows and for the LR rows."""
     rng = np.random.default_rng(7)
     q = rng.uniform(0.05, 0.95, 60)
     case = CaseData.from_arrays(rng.integers(0, 3, 60), rng.integers(0, 3, 60),
                                 hwe_prior_array(q))
     kernel = case.kernel(1e-4)
     rows = np.concatenate((kernel.c_h1, kernel.c_t))
-    level0 = _log10_rows(rows, _node_quantiles(prior))
+    w = _node_quantiles(prior)
     panels = _QUAD_NODES.reshape(-1, 21)
-    children = _log10_integrand(rows, prior)(np.tile(panels, (len(rows), 1)),
-                                             np.repeat(np.arange(len(rows)), len(panels)))
-    assert np.array_equal(children.reshape(level0.shape), level0)
+    for term, k in ((log10_term(rows), len(rows)), (kernel.log10_lr, len(kernel.c_h1))):
+        level0 = term(w, slice(None))
+        children = _integrand(term, prior, 0)(np.tile(panels, (k, 1)),
+                                              np.repeat(np.arange(k), len(panels)))
+        assert np.array_equal(children.reshape(level0.shape), level0)

@@ -50,9 +50,8 @@ def one_marker_case(a, b, priors=PRIORS75):
     return CaseData((MarkerObservation(a, b, priors),))
 
 
-def oracle_quad_woe(case, prior, w_r, prior_h2=None):
+def oracle_quad_woe(case, prior, w_r):
     """Direct w-space integral of the expected per-marker log10 LR."""
-    p_h2 = prior if prior_h2 is None else prior_h2
     total = 0.0
     for a, b, pr in markers(case):
 
@@ -60,7 +59,7 @@ def oracle_quad_woe(case, prior, w_r, prior_h2=None):
             return prior.pdf(w) * math.log10(joint_prob_h1(a, b, pr, w, w_r))
 
         def f2(w):
-            return p_h2.pdf(w) * math.log10(joint_prob_h2(a, b, pr, w, w_r))
+            return prior.pdf(w) * math.log10(joint_prob_h2(a, b, pr, w, w_r))
 
         i1, _ = quad(f1, 0.0, 0.5, limit=300)
         i2, _ = quad(f2, 0.0, 0.5, limit=300)
@@ -167,24 +166,6 @@ class TestIntegrateQuad:
         assert math.isclose(got, woe_known(case, 1e-2, 1e-4),
                             rel_tol=0, abs_tol=1e-4)
 
-    def test_distinct_h2_prior(self):
-        case = one_marker_case(1, 1)
-        base = woe_integrate_quad(case, UNIFORM, w_r=1e-4)
-        same = woe_integrate_quad(case, UNIFORM, w_r=1e-4, prior_h2=UNIFORM)
-        assert same.woe == base.woe
-        # A near-point-mass H2 prior pins the H2 term at its mean, so the
-        # result is the uniform H1 integral minus one fixed-w log10 term.
-        narrow = ScaledBeta.from_moments(1e-3, 1e-12)
-        shifted = woe_integrate_quad(case, UNIFORM, w_r=1e-4, prior_h2=narrow)
-
-        def f1(w):
-            return UNIFORM.pdf(w) * math.log10(
-                joint_prob_h1(1, 1, PRIORS75, w, 1e-4))
-
-        i1, _ = quad(f1, 0.0, 0.5, limit=300)
-        want = i1 - math.log10(joint_prob_h2(1, 1, PRIORS75, 1e-3, 1e-4))
-        assert math.isclose(shifted.woe, want, rel_tol=0, abs_tol=1e-4)
-
     def test_reports_error_and_fallbacks(self):
         # The (0, 1) pair at w_r = 0 has a log-singular H1 integrand; the
         # fixed rule's G10/K21 gap on it (about 1e-10) is under tol/2 at
@@ -277,16 +258,14 @@ class TestNodeQuantilesPerPrior:
         assert calls == [spec.dist for spec in config.priors]
 
     def test_second_call_and_h2_prior(self, calls):
+        """One call computes them once for both hypotheses; a second call
+        reuses them."""
         case = random_case(np.random.default_rng(3), m=30)
-        prior, prior_h2 = ScaledBeta(0.6, 2.4), ScaledBeta.from_moments(1e-3, 1e-6)
+        prior = ScaledBeta(0.6, 2.4)
         woe_integrate_quad(case, prior, w_r=1e-4)
         assert len(calls) == 1
         woe_integrate_quad(case, prior, w_r=1e-4)
-        woe_integrate_quad(case, prior, w_r=1e-4, prior_h2=prior)
-        assert len(calls) == 1
-        woe_integrate_quad(case, prior, w_r=1e-4, prior_h2=prior_h2)
-        woe_integrate_quad(case, prior, w_r=1e-4, prior_h2=prior_h2)
-        assert calls == [prior, prior_h2]
+        assert calls == [prior]
 
     def test_held_array_is_read_only(self):
         prior = ScaledBeta(0.6, 2.4)
@@ -297,15 +276,13 @@ class TestNodeQuantilesPerPrior:
 
     def test_fresh_and_reused_priors_agree_bitwise(self):
         case = random_case(np.random.default_rng(4), m=40)
-        shapes, shapes_h2 = (0.6, 2.4), (2.0, 300.0)
-        reused, reused_h2 = ScaledBeta(*shapes), ScaledBeta(*shapes_h2)
-        for prior_h2 in (None, reused_h2):
-            first = woe_integrate_quad(case, reused, w_r=1e-4, prior_h2=prior_h2)
-            again = woe_integrate_quad(case, reused, w_r=1e-4, prior_h2=prior_h2)
-            fresh = woe_integrate_quad(case, ScaledBeta(*shapes), w_r=1e-4,
-                                       prior_h2=None if prior_h2 is None else ScaledBeta(*shapes_h2))
-            assert first == again == fresh
-            assert first.woe.hex() == fresh.woe.hex()
+        shapes = (0.6, 2.4)
+        reused = ScaledBeta(*shapes)
+        first = woe_integrate_quad(case, reused, w_r=1e-4)
+        again = woe_integrate_quad(case, reused, w_r=1e-4)
+        fresh = woe_integrate_quad(case, ScaledBeta(*shapes), w_r=1e-4)
+        assert first == again == fresh
+        assert first.woe.hex() == fresh.woe.hex()
 
     def test_prior_looks_the_same_after_use(self):
         prior = ScaledBeta.from_moments(1e-4, 5e-9)
@@ -361,16 +338,6 @@ class TestIntegrateMc:
                             rel_tol=0, abs_tol=1e-3)
         assert r.mc_std_error < 1e-3
 
-    def test_distinct_h2_prior_agrees_with_quad(self):
-        case = one_marker_case(1, 1)
-        prior = ScaledBeta.from_moments(1e-2, 1e-5)
-        prior_h2 = ScaledBeta.from_moments(1e-3, 1e-8)
-        rng = np.random.default_rng(np.random.SeedSequence(11))
-        r = woe_integrate_mc(case, prior, 1e-4, rng, n_samples=4000,
-                             prior_h2=prior_h2)
-        want = woe_integrate_quad(case, prior, 1e-4, prior_h2=prior_h2).woe
-        assert abs(r.woe - want) <= 4.0 * r.mc_std_error + 1e-6
-
     def test_validation(self):
         case = one_marker_case(0, 0)
         rng = np.random.default_rng(0)
@@ -405,8 +372,7 @@ class TestIntegrateMc:
         assert math.isfinite(r.mc_std_error) and r.mc_std_error >= 0.0
         assert abs(r.woe - woe_integrate_quad(case, prior, 0.0).woe) <= 4.0 * r.mc_std_error
 
-    @pytest.mark.parametrize("distinct_h2", [False, True])
-    def test_block_size_moves_nothing(self, monkeypatch, distinct_h2):
+    def test_block_size_moves_nothing(self, monkeypatch):
         """The per-draw sums add the rows in order whatever the block size,
         so one row per block, the default and one block give the same bits."""
         rng = np.random.default_rng(34)
@@ -414,11 +380,9 @@ class TestIntegrateMc:
         case = CaseData.from_arrays(rng.integers(0, 3, 500), rng.integers(0, 3, 500),
                                     hwe_prior_array(q))
         prior = ScaledBeta.from_moments(1e-3, 1e-6)
-        prior_h2 = ScaledBeta.from_moments(3e-3, 1e-6) if distinct_h2 else None
 
         def run():
-            r = woe_integrate_mc(case, prior, 1e-4, np.random.default_rng(35), 1000,
-                                 prior_h2=prior_h2)
+            r = woe_integrate_mc(case, prior, 1e-4, np.random.default_rng(35), 1000)
             return r.woe, r.mc_std_error
 
         want = run()
