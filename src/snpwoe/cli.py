@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .estimation import estimate_w_mle
-from .evidence import DegenerateCaseError
+from .evidence import DegenerateCaseError, per_marker_log10_lr
 from .fileio import (
     ParseError,
     load_study_config,
@@ -136,9 +136,10 @@ def _flag(check, *args):
         raise UsageError(str(exc)) from exc
 
 
-def _select_woe_method(args):
-    """Resolve the mutually exclusive method flags; returns a tag and, for
-    integration, the prior."""
+def _woe_call(args, payload: dict):
+    """The library call the method flags select, bound to its checked flag
+    values, which also go into ``payload``. Every flag of the selected
+    method is checked, in a fixed order, before the case file is read."""
     by_moments = args.prior_mean is not None or args.prior_var is not None
     by_shapes = args.prior_shape1 is not None or args.prior_shape2 is not None
     if by_moments and (args.prior_mean is None or args.prior_var is None):
@@ -154,69 +155,50 @@ def _select_woe_method(args):
             "exactly one of --w-t, --plugin, --profile, or a prior "
             "(--prior-mean/--prior-var or --prior-shape1/--prior-shape2) is required"
         )
-    if args.w_t is not None:
-        return "known", None
-    if args.plugin:
-        return "plugin", None
-    if args.profile:
-        return "profile", None
     if by_moments:
-        return "integrate", _flag(ScaledBeta.from_moments, args.prior_mean, args.prior_var)
-    return "integrate", _flag(ScaledBeta, args.prior_shape1, args.prior_shape2)
+        prior = _flag(ScaledBeta.from_moments, args.prior_mean, args.prior_var)
+    elif by_shapes:
+        prior = _flag(ScaledBeta, args.prior_shape1, args.prior_shape2)
+    w_r = payload["w_r"] = _flag(validate_error_prob, args.w_r, "--w-r")
+    if args.w_t is not None:
+        w_t = payload["w_t"] = _flag(validate_error_prob, args.w_t, "--w-t")
+        return partial(woe_known_result, w_t=w_t, w_r=w_r)
+    if args.plugin:
+        return partial(woe_plugin, w_r=w_r)
+    if args.profile:
+        lo, hi = _flag(validate_profile_interval, args.profile_lower, args.profile_upper,
+                       ("--profile-lower", "--profile-upper"))
+        return partial(woe_profile, w_r=w_r, lower=lo, upper=hi)
+    payload.update(prior_shape1=prior.alpha, prior_shape2=prior.beta,
+                   prior_mean=prior.mean, prior_variance=prior.variance)
+    if args.integration == "mc":
+        n_samples = payload["mc_samples"] = _flag(validate_integer, args.mc_samples,
+                                                  "--mc-samples", 2)
+        seed = payload["seed"] = _flag(validate_integer, args.seed, "--seed", 0)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        call = partial(woe_integrate_mc, prior=prior, w_r=w_r, rng=rng, n_samples=n_samples)
+    else:
+        tol = payload["quad_tol"] = _flag(validate_positive, args.quad_tol, "--quad-tol")
+        call = partial(woe_integrate_quad, prior=prior, w_r=w_r, tol=tol)
+    if args.per_marker:
+        raise UsageError("--per-marker is not defined for integration methods")
+    return call
 
 
 def cmd_woe(args) -> int:
-    method, prior = _select_woe_method(args)
-    # Every flag is checked before the case file is read.
-    w_r = _flag(validate_error_prob, args.w_r, "--w-r")
-    payload: dict = {"w_r": w_r}
-    if method == "known":
-        w_t = payload["w_t"] = _flag(validate_error_prob, args.w_t, "--w-t")
-        evaluate = partial(woe_known_result, w_t=w_t, w_r=w_r)
-    elif method == "plugin":
-        evaluate = partial(woe_plugin, w_r=w_r)
-    elif method == "profile":
-        lo, hi = _flag(validate_profile_interval, args.profile_lower, args.profile_upper,
-                       ("--profile-lower", "--profile-upper"))
-        evaluate = partial(woe_profile, w_r=w_r, lower=lo, upper=hi)
-    else:
-        payload["prior_shape1"] = prior.alpha
-        payload["prior_shape2"] = prior.beta
-        payload["prior_mean"] = prior.mean
-        payload["prior_variance"] = prior.variance
-        if args.integration == "mc":
-            n_samples = payload["mc_samples"] = _flag(validate_integer, args.mc_samples,
-                                                      "--mc-samples", 2)
-            seed = payload["seed"] = _flag(validate_integer, args.seed, "--seed", 0)
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            evaluate = partial(woe_integrate_mc, prior=prior, w_r=w_r, rng=rng,
-                               n_samples=n_samples)
-        else:
-            tol = payload["quad_tol"] = _flag(validate_positive, args.quad_tol, "--quad-tol")
-            evaluate = partial(woe_integrate_quad, prior=prior, w_r=w_r, tol=tol)
-        if args.per_marker:
-            raise UsageError("--per-marker is not defined for integration methods")
-
+    payload: dict = {}
+    evaluate = _woe_call(args, payload)
     case = parse_case_file(args.case)
     result = evaluate(case)
     payload["markers"] = case.m
     payload.update((key, value) for key, value in asdict(result).items() if value is not None)
 
-    marker_rows = None
     if args.per_marker:
-        # Each marker's log10 probability gap between the H1 and H2
-        # evaluation points; for profile these are the two maximizers.
-        if method == "profile":
-            w1, w2 = result.w_hat_h1, result.w_hat_h2
-        else:
-            w1 = w2 = payload.get("w_t", w_r)
-        kernel = case.kernel(w_r)
-        contributions = (kernel.log10_h1(w1) - kernel.log10_h2(w2))[kernel.inverse]
-        marker_rows = [(case.marker_label(i), float(c))
-                       for i, c in enumerate(contributions)]
-        payload["per_marker_log10_lr"] = [
-            {"marker_id": mid, "log10_lr": c} for mid, c in marker_rows
-        ]
+        # H1 and H2 at the method's w_t; for profile, at their own maximizers.
+        w_t = payload.get("w_hat_h1", payload.get("w_t", payload["w_r"]))
+        lrs = per_marker_log10_lr(case, w_t, payload["w_r"], payload.get("w_hat_h2"))
+        payload["per_marker_log10_lr"] = [{"marker_id": case.marker_label(i), "log10_lr": lr}
+                                          for i, lr in enumerate(lrs.tolist())]
 
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -233,10 +215,10 @@ def cmd_woe(args) -> int:
     if result.mc_std_error is not None:
         print(f"mc std error: {_human(result.mc_std_error)}")
     print(f"WoE (log10 LR): {_human(result.woe)}")
-    if marker_rows is not None:
+    if args.per_marker:
         print("marker_id,log10_lr")
-        for mid, c in marker_rows:
-            print(f"{mid},{_human(c)}")
+        for row in payload["per_marker_log10_lr"]:
+            print(f"{row['marker_id']},{_human(row['log10_lr'])}")
     return EXIT_OK
 
 

@@ -20,12 +20,10 @@ from .evidence import (
     MarkerObservation,
     _polyval_rows,
     _row_total,
-    joint_table_h1,
 )
 from .genotypes import (
     CHANNEL_COEFFS,
     GenotypePriors,
-    validate_dosage,
     validate_error_prob,
     validate_integer,
 )
@@ -34,7 +32,6 @@ from .optimize import W_SEARCH_MAX, maximize_on_interval
 __all__ = [
     "PairCountTable",
     "WEstimate",
-    "pair_prob_same_source",
     "estimate_w_mle",
     "estimate_w_mle_per_marker",
 ]
@@ -90,13 +87,6 @@ class WEstimate:
         object.__setattr__(self, "w", validate_error_prob(self.w, "estimated w"))
         object.__setattr__(self, "log_likelihood", float(self.log_likelihood))
         object.__setattr__(self, "at_boundary", bool(self.at_boundary))
-
-
-def pair_prob_same_source(a, b, priors: GenotypePriors, w: float) -> float:
-    """P(observing dosages (a, b)) for duplicate reads of one genotype."""
-    w = validate_error_prob(w)
-    tbl = joint_table_h1(priors, w, w)
-    return float(tbl[validate_dosage(a), validate_dosage(b)])
 
 
 def _maximize_rows(priors: np.ndarray, a: np.ndarray, b: np.ndarray,

@@ -453,9 +453,11 @@ def _supported_kernel(case: CaseData, w_t: float | None, w_r: float) -> CaseKern
     under H2; else ``DegenerateCaseError`` naming the first offending marker.
     Both error probabilities are floats its public callers have checked.
 
-    With ``w_t=None`` only the reference side is checked; that suffices for
-    methods that keep the trace error probability strictly inside (0, 1/2),
-    where the trace marginal is everywhere positive.
+    With ``w_t=None`` only the reference side is checked. That suffices for
+    MC, quadrature and profile: every H2 row is positive at each ``w`` in
+    (0, 1/2), where MC's draws and quadrature's nodes lie, and profile's
+    interval always holds such points, so its H2 maximum is finite even
+    where its grid's ``w = 0`` gives an H2 row of 0.
     """
     kernel = case._kernel(w_r)
     bad = np.isneginf(kernel.log10_mr)
@@ -484,9 +486,15 @@ def woe_known(case: CaseData, w_t: float, w_r: float) -> float:
     return kernel.total(kernel.log10_lr, w_t)
 
 
-def per_marker_log10_lr(case: CaseData, w_t: float, w_r: float) -> np.ndarray:
-    """log10 likelihood ratio of each marker in case order."""
+def per_marker_log10_lr(case: CaseData, w_t: float, w_r: float,
+                        w_t_h2: float | None = None) -> np.ndarray:
+    """log10 likelihood ratio of each marker in case order, with H1 at
+    ``w_t`` and H2 at ``w_t_h2`` (``w_t`` when not given). At profile's two
+    maximizers the values sum to its WoE."""
     w_t = validate_error_prob(w_t, "w_t")
     w_r = validate_error_prob(w_r, "w_r")
-    kernel = _supported_kernel(case, w_t, w_r)
-    return kernel.log10_lr(w_t)[kernel.inverse]
+    w_h2 = w_t if w_t_h2 is None else validate_error_prob(w_t_h2, "w_t_h2")
+    kernel = _supported_kernel(case, w_h2, w_r)
+    lr = kernel.log10_h1(w_t)
+    lr -= kernel.log10_h2(w_h2)
+    return lr[kernel.inverse]

@@ -19,6 +19,9 @@ from .genotypes import validate_integer, validate_positive, validate_real
 
 __all__ = ["ScaledBeta"]
 
+# The least and greatest floats inside the support (0, 1/2).
+_OPEN_SUPPORT = (np.nextafter(0.0, 1.0), np.nextafter(0.5, 0.0))
+
 
 def _as_float_array(x):
     arr = np.asarray(x, dtype=float)
@@ -116,14 +119,12 @@ class ScaledBeta:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` i.i.d. values, all strictly inside (0, 1/2).
 
-        Endpoint hits have probability zero but can occur in floating
-        point for extreme shapes; those draws are redrawn so the open
-        support is guaranteed.
+        A draw is half a beta draw, clipped into [smallest positive float,
+        ``nextafter(0.5, 0)``]. At extreme shapes a beta draw can be exactly
+        0 or 1, or its half underflow to 0; such a draw becomes the nearest
+        float inside the support. It is not redrawn: redrawing would replace
+        genuine draws below 5e-324 with typical ones, and at tiny first
+        shapes, where nearly every draw is 0, could run without end.
         """
         n = validate_integer(n, "n", 1)
-        u = rng.beta(self.alpha, self.beta, size=n)
-        bad = (u <= 0.0) | (u >= 1.0)
-        while np.any(bad):
-            u[bad] = rng.beta(self.alpha, self.beta, size=int(bad.sum()))
-            bad = (u <= 0.0) | (u >= 1.0)
-        return 0.5 * u
+        return np.clip(0.5 * rng.beta(self.alpha, self.beta, size=n), *_OPEN_SUPPORT)

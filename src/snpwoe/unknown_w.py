@@ -75,7 +75,9 @@ class WoEResult:
     error of the Monte Carlo mean, is present exactly for ``integrate-mc``;
     ``quad_abserr`` (the largest per-row error estimate) and
     ``quad_fallbacks`` (the number of row integrals refined by adaptive
-    bisection) are present exactly for ``integrate-quad``.
+    bisection) are present exactly for ``integrate-quad``. A row's estimate
+    does not cover the rounding of the two log10 values its integrand
+    subtracts, so it is no bound on rows whose LR integral is near 0.
     """
 
     woe: float

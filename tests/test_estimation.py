@@ -17,9 +17,8 @@ from snpwoe.estimation import (
     WEstimate,
     estimate_w_mle,
     estimate_w_mle_per_marker,
-    pair_prob_same_source,
 )
-from snpwoe.evidence import MarkerObservation, joint_table_h1
+from snpwoe.evidence import MarkerObservation, joint_prob_h1, joint_table_h1
 from snpwoe.genotypes import hwe_priors
 from snpwoe.optimize import W_SEARCH_MAX
 
@@ -51,27 +50,27 @@ def multinomial_table(priors, w, n, rng):
 
 class TestPairProb:
     def test_no_error_heterozygote(self):
-        assert pair_prob_same_source(1, 1, PRIORS75, 0.0) == 0.375
+        assert joint_prob_h1(1, 1, PRIORS75, 0.0, 0.0) == 0.375
 
     @given(w=st.floats(min_value=0.0, max_value=0.5, exclude_max=True),
            a=st.integers(0, 2), b=st.integers(0, 2))
     @settings(max_examples=60)
     def test_symmetric_in_reads(self, w, a, b):
-        assert math.isclose(pair_prob_same_source(a, b, PRIORS75, w),
-                            pair_prob_same_source(b, a, PRIORS75, w),
+        assert math.isclose(joint_prob_h1(a, b, PRIORS75, w, w),
+                            joint_prob_h1(b, a, PRIORS75, w, w),
                             rel_tol=1e-13, abs_tol=1e-300)
 
     def test_normalizes(self):
-        total = math.fsum(pair_prob_same_source(a, b, PRIORS90, 0.01)
+        total = math.fsum(joint_prob_h1(a, b, PRIORS90, 0.01, 0.01)
                           for a in range(3) for b in range(3))
         assert abs(total - 1.0) <= 1e-12
 
     def test_rejects_bad_dosages(self):
         # a negative dosage must not index the table from its far end
         with pytest.raises(ValueError, match="0, 1 or 2"):
-            pair_prob_same_source(-1, 0, PRIORS75, 0.01)
+            joint_prob_h1(-1, 0, PRIORS75, 0.01, 0.01)
         with pytest.raises(TypeError):
-            pair_prob_same_source(1, 1.0, PRIORS75, 0.01)
+            joint_prob_h1(1, 1.0, PRIORS75, 0.01, 0.01)
 
 
 class TestPairCountTable:

@@ -27,6 +27,7 @@ from snpwoe.evidence import (
     woe_known,
 )
 from snpwoe.genotypes import GenotypePriors, hwe_priors
+from snpwoe.unknown_w import woe_profile
 
 error_probs = st.floats(min_value=0.0, max_value=0.5, exclude_max=True,
                         allow_nan=False)
@@ -266,6 +267,21 @@ class TestWoeKnown:
         assert contr.shape == (15,)
         assert math.isclose(contr.sum(), woe_known(case, 0.01, 1e-4),
                             rel_tol=1e-10)
+        kernel = case.kernel(1e-4)
+        assert np.array_equal(contr, kernel.log10_lr(0.01)[kernel.inverse])
+        assert np.array_equal(per_marker_log10_lr(case, 0.01, 1e-4, 0.01), contr)
+        # H1 at w1 and H2 at w2: the reference read's probability cancels.
+        w1, w2 = 0.02, 0.003
+        two = per_marker_log10_lr(case, w1, 1e-4, w2)
+        for i, got in enumerate(two.tolist()):
+            priors = GenotypePriors(*case.priors[i])
+            a, b = int(case.x_t[i]), int(case.x_r[i])
+            want = (math.log10(joint_prob_h1(a, b, priors, w1, 1e-4))
+                    - math.log10(joint_prob_h2(a, b, priors, w2, 1e-4)))
+            assert math.isclose(got, want, rel_tol=0, abs_tol=1e-12)
+        prof = woe_profile(case, 1e-4)
+        at_hats = per_marker_log10_lr(case, prof.w_hat_h1, 1e-4, prof.w_hat_h2)
+        assert math.isclose(math.fsum(at_hats.tolist()), prof.woe, rel_tol=0, abs_tol=1e-9)
 
 
 class TestCaseKernel:

@@ -227,14 +227,14 @@ class TestIntegrationAndProfile:
         ``2 * tol * m``; where only the oracle fails, the kernel agrees with
         a 30-digit reference to ``2 * tol * m``.
 
-        The kernel's fallback and the oracle evaluate the same quadratic
-        integrand in a different operation order, so ``quad``'s error
-        estimate differs in its trailing digits: the text before ``with
-        abserr`` (tol, pattern count, worst marker) must match, and the two
-        abserr values must agree to 1e-3 relative. On the example above
+        The kernel integrates each row's log10 LR by ``unknown_w.quad``;
+        the oracle integrates each hypothesis on its own by scipy's ``quad``.
+        Their error estimates differ, so the text before ``with abserr``
+        (tol, pattern count, worst marker) must match, and the two abserr
+        values must agree to 1e-3 relative. On the example above scipy's
         ``quad`` stops on a round-off warning (abserr 7.0e-09 against tol
-        1e-8) and the oracle fails, while the kernel's fixed rule returns
-        -0.0015118..., 3e-16 from the reference on both integrals.
+        1e-8) and the oracle fails, while the kernel returns
+        -0.0015118..., 2.1e-16 from the reference, without refinement.
         """
         prior = ScaledBeta.from_moments(1e-3, 1e-6)
         tol = 1e-8

@@ -159,6 +159,20 @@ class TestSample:
             x = d.sample(np.random.default_rng(7), 200_000)
             assert np.all(x > 0.0) and np.all(x < 0.5)
 
+        class OneCall:
+            """Beta draws at both ends and below the least half; a second
+            call, which a redraw would make, fails."""
+            calls = 0
+
+            def beta(self, a, b, size):
+                self.calls += 1
+                assert self.calls == 1, "redrew"
+                return np.array([0.0, 5e-324, 1.0, 0.3])
+
+        x = ScaledBeta(0.6, 2.4).sample(OneCall(), 4)
+        assert np.all(x > 0.0) and np.all(x < 0.5)
+        assert x[3] == 0.15
+
     def test_mean_clt(self):
         d = ScaledBeta(1.4, 5.6)
         n = 1_000_000

@@ -360,17 +360,21 @@ class TestIntegrateMc:
         """This prior draws below 1e-154, where ``w**2`` underflows to 0 and
         the (2, 0) pair's H1 probability at ``w_r = 0`` with it; its draws
         are floored at 1e-120, as quadrature's nodes are, so every log stays
-        finite and the estimate agrees with quadrature."""
+        finite and the estimate agrees with quadrature. Draws below 5e-324
+        are kept, as the least positive float: at 200,000 draws, redrawing
+        them instead put the estimate 16 standard errors above."""
         case = CaseData.from_arrays([2, 1], [0, 1], hwe_prior_array([0.5, 0.5]))
         prior = ScaledBeta(0.005, 5.0)
         assert prior.quantile(0.05) < 1e-154
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            r = woe_integrate_mc(case, prior, 0.0,
-                                 np.random.default_rng(np.random.SeedSequence(0)), 4000)
-        assert math.isfinite(r.woe)
-        assert math.isfinite(r.mc_std_error) and r.mc_std_error >= 0.0
-        assert abs(r.woe - woe_integrate_quad(case, prior, 0.0).woe) <= 4.0 * r.mc_std_error
+        quad = woe_integrate_quad(case, prior, 0.0).woe
+        for n in (4000, 200_000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = woe_integrate_mc(case, prior, 0.0,
+                                     np.random.default_rng(np.random.SeedSequence(0)), n)
+            assert math.isfinite(r.woe)
+            assert math.isfinite(r.mc_std_error) and r.mc_std_error >= 0.0
+            assert abs(r.woe - quad) <= 4.0 * r.mc_std_error, n
 
     def test_block_size_moves_nothing(self, monkeypatch):
         """The per-draw sums add the rows in order whatever the block size,
