@@ -1,6 +1,7 @@
 """File formats: case tables, duplicate pair counts, study configs, results.
 
-All tabular formats are comma-separated UTF-8 text with a header row.
+All tabular formats are comma-separated UTF-8 text with a header row; a
+leading byte-order mark is skipped.
 Floats are written with ``repr``, which round-trips every double exactly
 and renders negative infinity as the literal ``-inf``; readers accept that
 literal back. Parse failures raise :class:`ParseError` with a one-line
@@ -15,7 +16,6 @@ import typing
 from dataclasses import MISSING, fields
 
 import numpy as np
-import yaml
 
 from .estimation import PairCountTable
 from .evidence import CaseData
@@ -79,7 +79,7 @@ def _parse_dosage(text: str, path, line: int, column: str) -> int:
 
 def _read_rows(path) -> list[tuple[int, list[str]]]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [(reader.line_num, [cell.strip() for cell in row])
                     for row in reader]
@@ -229,6 +229,7 @@ def load_study_config(path) -> StudyConfig:
     Values are checked by :class:`StudyConfig` and :class:`ScaledBeta`,
     whose errors name the key.
     """
+    import yaml  # loaded only by the one command that reads YAML
     try:
         with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

@@ -4,7 +4,8 @@ Error probabilities live on (0, 1/2), so priors over them are expressed as
 one half of a Beta(alpha, beta) variable. The class below carries the exact
 density/CDF/quantile transforms of that rescaling and a moment-matching
 constructor, mirroring the usual mean/concentration reparameterisation of
-the beta family.
+the beta family. ``scipy.special`` is imported by the methods that use it,
+so importing the package does not load scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .genotypes import validate_integer, validate_positive, validate_real
 
@@ -88,6 +88,7 @@ class ScaledBeta:
 
     def pdf(self, w):
         """Density at ``w``; zero outside (0, 1/2), vectorized."""
+        from scipy import special
         arr, scalar = _as_float_array(w)
         u = 2.0 * arr
         inside = (u > 0.0) & (u < 1.0)
@@ -103,6 +104,7 @@ class ScaledBeta:
 
     def cdf(self, w):
         """P(W <= w), vectorized; clamps to {0, 1} outside the support."""
+        from scipy import special
         arr, scalar = _as_float_array(w)
         u = np.clip(2.0 * arr, 0.0, 1.0)
         out = special.betainc(self.alpha, self.beta, u)
@@ -110,6 +112,7 @@ class ScaledBeta:
 
     def quantile(self, p):
         """Inverse CDF for probabilities strictly inside (0, 1), vectorized."""
+        from scipy import special
         arr, scalar = _as_float_array(p)
         if arr.size and (np.any(np.isnan(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
             raise ValueError("quantile probabilities must lie in (0, 1)")

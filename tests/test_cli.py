@@ -446,15 +446,53 @@ class TestConsoleEntryPoint:
         payload = json.loads(proc.stdout)
         assert payload["method"] == "known"
 
-    def test_import_skips_scipy_integrate_and_optimize(self):
-        """The CLI uses scipy only through scipy.special, so a fresh
-        interpreter that imports it loads neither of the larger subpackages."""
+    @staticmethod
+    def run_fresh(script, *args):
+        """Run ``script`` in a fresh interpreter that imports this checkout."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        script = ("import json, sys, snpwoe.cli; print(json.dumps("
-                  "[m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules]))")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=120)
+        return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    def test_import_skips_scipy_integrate_and_optimize(self):
+        """Importing the package or the CLI loads no scipy module at all and no
+        PyYAML: scipy.special is imported by the ScaledBeta methods that use
+        it, and yaml by load_study_config."""
+        script = ("import json, sys\n"
+                  "def loaded():\n"
+                  "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml'))\n"
+                  "import snpwoe\n"
+                  "after_package = loaded()\n"
+                  "import snpwoe.cli\n"
+                  "print(json.dumps([after_package, loaded()]))")
+        proc = self.run_fresh(script)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert json.loads(proc.stdout) == []
+        assert json.loads(proc.stdout) == [[], []]
+
+    @pytest.mark.parametrize("flags", [
+        ["woe", "{case}", "--w-r", "1e-4", "--w-t", "1e-3"],
+        ["woe", "{case}", "--w-r", "1e-4", "--plugin"],
+        ["woe", "{case}", "--w-r", "1e-4", "--profile"],
+        ["woe", "{case}", "--w-r", "1e-4", "--prior-mean", "1e-3", "--prior-var", "1e-6",
+         "--integration", "mc", "--mc-samples", "200"],
+        ["estimate", "{pairs}"],
+        ["ece", "{records}", "--out", "{out}"],
+    ], ids=["known", "plugin", "profile", "mc", "estimate", "ece"])
+    def test_commands_run_without_scipy_or_yaml(self, tmp_path, flags):
+        """Every command but quadrature and simulate runs in an interpreter
+        where importing scipy or yaml fails."""
+        paths = {"case": tmp_path / "case.csv", "pairs": tmp_path / "pairs.csv",
+                 "records": tmp_path / "records.csv", "out": tmp_path / "ece.csv"}
+        paths["case"].write_text(CASE_TEXT)
+        paths["pairs"].write_text(PAIR_TEXT)
+        paths["records"].write_text(
+            "hypothesis,method,prior_id,m,q,w_t_true,replicate,woe,w_hat_h1,w_hat_h2\n"
+            "H1,true-w,,6,0.75,0.001,0,2.0,,\n"
+            "H2,true-w,,6,0.75,0.001,0,-4.0,,\n")
+        script = ("import sys\n"
+                  "sys.modules['scipy'] = sys.modules['yaml'] = None\n"
+                  "from snpwoe.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))")
+        proc = self.run_fresh(script, *(arg.format(**paths) for arg in flags))
+        assert proc.returncode == EXIT_OK, proc.stderr[-2000:]

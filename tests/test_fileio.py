@@ -136,6 +136,19 @@ class TestParseCaseFile:
         with pytest.raises(ParseError, match="nope.csv"):
             parse_case_file(tmp_path / "nope.csv")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Spreadsheet CSV exports often begin with a UTF-8 byte-order mark.
+        text = "marker_id,x_t,x_r,q\nrs1,0,1,0.75\nrs2,2,2,0.9\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        case, expected = parse_case_file(marked), parse_case_file(plain)
+        assert case.ids == expected.ids == ("rs1", "rs2")
+        assert case.x_t.tolist() == expected.x_t.tolist()
+        assert case.x_r.tolist() == expected.x_r.tolist()
+        assert case.priors.tolist() == expected.priors.tolist()
+
 
 class TestParsePairTableFile:
     def test_q_form(self, tmp_path):
@@ -182,6 +195,14 @@ class TestParsePairTableFile:
         # q = 1 is the rule hwe_priors and StudyConfig use: a monomorphic prior.
         p.write_text("q,1.0\n,0,1,2\n0,1,0,0\n1,0,1,0\n2,0,0,1\n")
         assert parse_pair_table_file(p).priors == hwe_priors(1.0)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "pairs.csv"
+        p.write_text("q,0.9\n,0,1,2\n0,100,3,0\n1,2,50,1\n2,0,1,10\n", encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        table = parse_pair_table_file(p)
+        assert table.priors == hwe_priors(0.9)
+        assert table.counts.tolist() == [[100, 3, 0], [2, 50, 1], [0, 1, 10]]
 
 
 class TestLoadStudyConfig:
