@@ -7,7 +7,8 @@ records).
 
 Exit codes: 0 success, 2 usage error, 3 data or parse error, 4 numeric
 failure. Every command is deterministic given its inputs and flags;
-commands that sample take an explicit ``--seed``.
+commands that sample take an explicit ``--seed``. In-process calls of
+:func:`main` share one argument parser, built on the first call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -61,7 +62,10 @@ def _human(x: float) -> str:
     return f"{float(x):.4f}"
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one; each ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="snpwoe",
         description="Weight of evidence for SNP genotype comparisons "
@@ -284,8 +288,7 @@ def cmd_ece(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

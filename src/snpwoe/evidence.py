@@ -121,7 +121,7 @@ class CaseData:
             raise ValueError(f"dosages x_t and x_r must have shape ({m},) to match {m} rows "
                              f"of priors, got {np.shape(x_t)} and {np.shape(x_r)}")
         if ids is not None:
-            ids = tuple(str(i) for i in ids)
+            ids = tuple(map(str, ids))
             if len(ids) != m:
                 raise ValueError(f"got {len(ids)} marker ids for {m} markers")
             if len(set(ids)) != len(ids):

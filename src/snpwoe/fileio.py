@@ -14,6 +14,8 @@ import csv
 import math
 import typing
 from dataclasses import MISSING, fields
+from itertools import compress, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -71,22 +73,29 @@ def _parse_allele_freq(text: str, path, line: int) -> float:
         _fail(path, line, f"column 'q': {exc}")
 
 
-def _parse_dosage(text: str, path, line: int, column: str) -> int:
-    if text not in ("0", "1", "2"):
+_DOSAGES = {"0": 0, "1": 1, "2": 2}
+
+
+def _check_dosage(text: str, path, line: int, column: str) -> None:
+    if text not in _DOSAGES:
         _fail(path, line, f"column {column!r}: dosage must be 0, 1 or 2, got {text!r}")
-    return int(text)
 
 
-def _read_rows(path) -> list[tuple[int, list[str]]]:
+def _with_reader(path, read):
+    """``read(reader)`` of a ``csv.reader`` over the file; I/O and decoding
+    failures are parse errors naming the file."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            rows = [(reader.line_num, [cell.strip() for cell in row])
-                    for row in reader]
+            return read(csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_rows(path) -> list[tuple[int, list[str]]]:
+    rows = _with_reader(path, lambda reader: [(reader.line_num, [cell.strip() for cell in row])
+                                              for row in reader])
     return [(num, row) for num, row in rows if any(cell for cell in row)]
 
 
@@ -113,29 +122,98 @@ def parse_case_file(path) -> CaseData:
     observed dosages ``x_t``/``x_r``, and priors as either an allele
     frequency column ``q`` or explicit columns ``p0,p1,p2``.
 
-    The header picks one priors form for the whole file. Rows are checked
-    one at a time, so errors name their line; the case is built from the
-    columns.
+    The header picks one priors form for the whole file. The rows are read
+    once, a block at a time, and checked a column at a time; only when a
+    check fails are they read again, one at a time, to name the first bad
+    line.
     """
+    try:
+        return _with_reader(path, _case_from_reader)
+    except ParseError:
+        raise
+    except ValueError:
+        pass
+    _fail_first_bad_line(path)
+
+
+# Rows read and converted at a time, so that the text of at most one
+# block's cells is held at once.
+_BLOCK_ROWS = 1 << 16
+
+
+def _case_from_reader(reader) -> CaseData:
+    """The case in a case file's rows, every check made on a block's
+    columns. A failed check raises a ``ValueError`` that does not say where."""
+    header = next(filter(any, ([cell.strip() for cell in row] for row in reader)), None)
+    if header not in (_CASE_HEADER_Q, _CASE_HEADER_P):
+        raise ValueError("bad header")
+    ids: list[str] = []
+    blocks = []
+    while rows := list(islice(reader, _BLOCK_ROWS)):
+        block_ids, *arrays = _block_columns(rows, len(header))
+        ids += block_ids
+        blocks.append(arrays)
+    if not ids:
+        raise ValueError("no markers")
+    x_t, x_r, priors = map(np.concatenate, zip(*blocks))
+    # CaseData checks that the ids are unique; a duplicate raises ValueError.
+    return CaseData.from_arrays(x_t, x_r, priors, ids)
+
+
+def _is_blank(row: list[str]) -> bool:
+    return not any(map(str.strip, row))
+
+
+def _dosage_column(texts: list[str]) -> np.ndarray:
+    if not _DOSAGES.keys() >= set(texts):
+        raise ValueError("bad dosage")
+    return np.fromiter(map(_DOSAGES.__getitem__, texts), np.int64, len(texts))
+
+
+def _block_columns(rows: list[list[str]], n: int):
+    """Ids, ``x_t``, ``x_r`` and priors of the nonblank rows of ``n`` cells."""
+    if set(map(len, rows)) - {n}:
+        if not all(_is_blank(row) for row in rows if len(row) != n):
+            raise ValueError("bad column count")
+        rows = [row for row in rows if len(row) == n]
+    columns = [list(map(str.strip, map(itemgetter(k), rows))) for k in range(n)]
+    if "" in columns[0]:
+        # Rows of n empty cells are blank lines; any other empty id is an error.
+        keep = list(map(any, zip(*columns)))
+        columns = [list(compress(column, keep)) for column in columns]
+        if "" in columns[0]:
+            raise ValueError("empty marker_id")
+    ids, x_t, x_r, *prior_texts = columns
+    if n == len(_CASE_HEADER_Q):
+        q = np.fromiter(map(float, prior_texts[0]), float, len(ids))
+        if not ((q > 0.0) & (q <= 1.0)).all():
+            raise ValueError("bad allele frequency")
+        priors = hwe_prior_array(q)
+    else:
+        parts = [list(map(float, texts)) for texts in prior_texts]
+        priors = np.column_stack(parts)
+        if not ((priors >= 0.0) & (priors <= 1.0)).all():
+            raise ValueError("bad probability")
+        totals = np.fromiter(map(math.fsum, zip(*parts)), float, len(ids))
+        if (np.abs(totals - 1.0) > _FILE_PRIOR_TOL).any():
+            raise ValueError("priors off 1")
+        priors = priors / totals[:, None]
+    return ids, _dosage_column(x_t), _dosage_column(x_r), priors
+
+
+def _fail_first_bad_line(path):
+    """Raise the ``ParseError`` of the first check a case file fails,
+    checking its rows one at a time in file order."""
     rows = _read_rows(path)
     if not rows:
         raise ParseError(f"{path}:1: empty case file")
     header_line, header = rows[0]
-    if header == _CASE_HEADER_Q:
-        use_q = True
-    elif header == _CASE_HEADER_P:
-        use_q = False
-    else:
+    if header not in (_CASE_HEADER_Q, _CASE_HEADER_P):
         _fail(path, header_line,
               f"header must be {','.join(_CASE_HEADER_Q)} or "
               f"{','.join(_CASE_HEADER_P)}, got {','.join(header)!r}")
     if len(rows) == 1:
         _fail(path, header_line, "case file has a header but no markers")
-
-    ids: list[str] = []
-    x_t: list[int] = []
-    x_r: list[int] = []
-    priors: list = []   # allele frequencies, or explicit prior rows
     seen: set[str] = set()
     for line, row in rows[1:]:
         if len(row) != len(header):
@@ -146,15 +224,14 @@ def parse_case_file(path) -> CaseData:
         if marker_id in seen:
             _fail(path, line, f"duplicate marker_id {marker_id!r}")
         seen.add(marker_id)
-        ids.append(marker_id)
-        x_t.append(_parse_dosage(row[1], path, line, "x_t"))
-        x_r.append(_parse_dosage(row[2], path, line, "x_r"))
-        if use_q:
-            priors.append(_parse_allele_freq(row[3], path, line))
+        _check_dosage(row[1], path, line, "x_t")
+        _check_dosage(row[2], path, line, "x_r")
+        if header == _CASE_HEADER_Q:
+            _parse_allele_freq(row[3], path, line)
         else:
-            parts = [_parse_float(row[3 + i], path, line, f"p{i}") for i in range(3)]
-            priors.append(_priors_from_row(parts, path, line))
-    return CaseData.from_arrays(x_t, x_r, hwe_prior_array(priors) if use_q else priors, ids)
+            _priors_from_row([_parse_float(row[3 + i], path, line, f"p{i}") for i in range(3)],
+                             path, line)
+    raise AssertionError(f"{path}: a column check failed but no line does")
 
 
 def parse_pair_table_file(path) -> PairCountTable:

@@ -72,7 +72,9 @@ class WoEResult:
 
     ``w_hat_h1``/``w_hat_h2`` are the per-hypothesis maximizers and are
     present exactly for the profile method; ``mc_std_error``, the standard
-    error of the Monte Carlo mean, is present exactly for ``integrate-mc``;
+    error of the Monte Carlo mean, and ``mc_draws_at_floor``, the number of
+    prior draws raised to the ``w_t`` floor, are present exactly for
+    ``integrate-mc``;
     ``quad_abserr`` (the largest per-row error estimate) and
     ``quad_fallbacks`` (the number of row integrals refined by adaptive
     bisection) are present exactly for ``integrate-quad``. A row's estimate
@@ -85,6 +87,7 @@ class WoEResult:
     w_hat_h1: float | None = None
     w_hat_h2: float | None = None
     mc_std_error: float | None = None
+    mc_draws_at_floor: int | None = None
     quad_abserr: float | None = None
     quad_fallbacks: int | None = None
 
@@ -97,10 +100,13 @@ class WoEResult:
                 raise ValueError("profile results must carry both maximizers")
         elif has_hats:
             raise ValueError(f"method {self.method!r} must not carry maximizers")
-        if (self.mc_std_error is not None) != (self.method == METHOD_INTEGRATE_MC):
-            raise ValueError("mc_std_error is present exactly for integrate-mc results")
-        if self.mc_std_error is not None and not self.mc_std_error >= 0.0:
-            raise ValueError(f"mc_std_error must be nonnegative, got {self.mc_std_error!r}")
+        is_mc = self.method == METHOD_INTEGRATE_MC
+        if (self.mc_std_error is not None) != is_mc or (self.mc_draws_at_floor is not None) != is_mc:
+            raise ValueError("mc_std_error and mc_draws_at_floor are present exactly for "
+                             "integrate-mc results")
+        if is_mc and not (self.mc_std_error >= 0.0 and self.mc_draws_at_floor >= 0):
+            raise ValueError(f"mc_std_error and mc_draws_at_floor must be nonnegative, got "
+                             f"{self.mc_std_error!r} and {self.mc_draws_at_floor!r}")
         is_quad = self.method == METHOD_INTEGRATE_QUAD
         if (self.quad_abserr is not None) != is_quad or (self.quad_fallbacks is not None) != is_quad:
             raise ValueError("quad_abserr and quad_fallbacks are present exactly for "
@@ -134,8 +140,9 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
     Each draw's case-level log10 likelihood difference adds the kernel's
     rows in their sorted order, whatever the marker order; the estimate is
     the correctly rounded mean of these per-draw sums, and the standard
-    error of that mean is reported alongside. Rows are taken one block at a
-    time, so memory does not grow with m.
+    error of that mean is reported alongside, with the number of draws
+    raised to the floor. Rows are taken one block at a time, so memory does
+    not grow with m.
     """
     w_r = validate_error_prob(w_r, "w_r")
     n_samples = validate_integer(n_samples, "n_samples", 2)
@@ -159,7 +166,8 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
     per_draw = buffer[0]
     woe = math.fsum(per_draw.tolist()) / n_samples
     se = float(np.std(per_draw, ddof=1) / math.sqrt(n_samples))
-    return WoEResult(woe, METHOD_INTEGRATE_MC, mc_std_error=se)
+    at_floor = int(np.count_nonzero(draws == _W_FLOOR))
+    return WoEResult(woe, METHOD_INTEGRATE_MC, mc_std_error=se, mc_draws_at_floor=at_floor)
 
 
 # QUADPACK's qk21 pair (Piessens et al. 1983): the 21-point Kronrod nodes on

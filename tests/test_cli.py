@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from snpwoe.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from snpwoe.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from snpwoe.fileio import parse_case_file, read_records_csv, read_summary_csv
 from snpwoe.evidence import woe_known
 from snpwoe.study import compute_ece_by_cell, summarize_records
@@ -202,7 +202,7 @@ PRIOR_KEYS = COMMON_KEYS | {"prior_mean", "prior_shape1", "prior_shape2", "prior
     (["--plugin"], COMMON_KEYS),
     (["--profile"], COMMON_KEYS | {"w_hat_h1", "w_hat_h2"}),
     (["--prior-mean", "1e-3", "--prior-var", "1e-8"],
-     PRIOR_KEYS | {"mc_samples", "seed", "mc_std_error"}),
+     PRIOR_KEYS | {"mc_samples", "seed", "mc_std_error", "mc_draws_at_floor"}),
     (["--prior-mean", "1e-3", "--prior-var", "1e-8", "--integration", "quad"],
      PRIOR_KEYS | {"quad_tol", "quad_abserr", "quad_fallbacks"}),
 ])
@@ -238,6 +238,37 @@ def test_per_marker_with_prior_integrates_nothing(case_path, capsys, monkeypatch
                  "--prior-var", "1e-6", "--integration", integration,
                  "--per-marker"]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error: --per-marker is not defined")
+
+
+def test_one_parser_carries_nothing_between_calls(case_path, pair_path, capsys):
+    """In-process calls share one parser. Run in one process, each call
+    exits and prints as it does on a freshly built parser, so no parsed
+    value carries over from the call before it."""
+    calls = [
+        ["woe", str(case_path), "--w-r", "1e-4", "--profile", "--per-marker", "--json"],
+        ["woe", str(case_path), "--w-r", "1e-4", "--integration", "simpson"],
+        ["estimate", str(pair_path), "--json"],
+        ["woe", str(case_path), "--w-r", "1e-4", "--profile", "--json"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert build_parser() is build_parser()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert "per_marker_log10_lr" in shared[0][1] and "per_marker_log10_lr" not in shared[3][1]
 
 
 class TestMalformedInput:

@@ -83,12 +83,19 @@ class TestWoEResult:
         assert r.w_hat_h2 == 0.2
 
     def test_mc_std_error_pairing(self):
-        with pytest.raises(ValueError):
-            WoEResult(1.0, METHOD_INTEGRATE_MC)
+        for missing in ({}, {"mc_std_error": 0.1}, {"mc_draws_at_floor": 0}):
+            with pytest.raises(ValueError):
+                WoEResult(1.0, METHOD_INTEGRATE_MC, **missing)
         with pytest.raises(ValueError):
             WoEResult(1.0, METHOD_KNOWN, mc_std_error=0.1)
         with pytest.raises(ValueError):
-            WoEResult(1.0, METHOD_INTEGRATE_MC, mc_std_error=-1e-9)
+            WoEResult(1.0, METHOD_KNOWN, mc_draws_at_floor=0)
+        for bad in ({"mc_std_error": -1e-9, "mc_draws_at_floor": 0},
+                    {"mc_std_error": 0.1, "mc_draws_at_floor": -1}):
+            with pytest.raises(ValueError):
+                WoEResult(1.0, METHOD_INTEGRATE_MC, **bad)
+        r = WoEResult(1.0, METHOD_INTEGRATE_MC, mc_std_error=0.1, mc_draws_at_floor=3)
+        assert (r.mc_std_error, r.mc_draws_at_floor) == (0.1, 3)
 
     def test_quad_diagnostics_pairing(self):
         for missing in ({}, {"quad_abserr": 1e-12}, {"quad_fallbacks": 0}):
@@ -375,6 +382,18 @@ class TestIntegrateMc:
             assert math.isfinite(r.woe)
             assert math.isfinite(r.mc_std_error) and r.mc_std_error >= 0.0
             assert abs(r.woe - quad) <= 4.0 * r.mc_std_error, n
+            assert 0 < r.mc_draws_at_floor < n
+
+    def test_draws_at_floor_are_counted(self):
+        """The heavy-tailed prior of the README: every default draw is
+        floored, where the standard error cannot see the missed mass."""
+        case = CaseData.from_arrays([2, 1], [0, 1], hwe_prior_array([0.5, 0.5]))
+        heavy = ScaledBeta.from_moments(1e-5, 4.9998e-6)
+        r = woe_integrate_mc(case, heavy, 1e-4, np.random.default_rng(np.random.SeedSequence(0)))
+        assert r.mc_draws_at_floor == 1000
+        r = woe_integrate_mc(case, ScaledBeta.from_moments(1e-2, 1e-5), 1e-4,
+                             np.random.default_rng(np.random.SeedSequence(0)))
+        assert r.mc_draws_at_floor == 0
 
     def test_block_size_moves_nothing(self, monkeypatch):
         """The per-draw sums add the rows in order whatever the block size,
