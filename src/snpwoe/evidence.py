@@ -368,6 +368,13 @@ class CaseKernel:
         lr -= self.log10_h2(w, rows)
         return lr
 
+    def log10_lr_err(self, w, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`log10_lr` and its rounding bound in eps, ``1 + |log10 h1| + |log10 h2|``."""
+        h1, h2 = self.log10_h1(w, rows), self.log10_h2(w, rows)
+        lr = h1 - h2
+        np.add(np.abs(h1, out=h1), np.abs(h2, out=h2), out=h1)
+        return lr, np.add(h1, 1.0, out=h1)
+
     def total(self, term, w):
         """Sum over markers of ``term(w, rows)``, per-row terms such as
         :meth:`log10_h1`, weighted by row counts; evaluated and summed one

@@ -3,11 +3,12 @@
 The objectives here are log-likelihoods over an error probability ``w``,
 ``sum_i counts[i] * log p_i(w)`` with each ``p_i`` a polynomial. They are
 smooth but can be multimodal, so a single local search is not safe. The
-objective is evaluated on a coarse grid, then every local maximum of the
-grid is refined at once by safeguarded Newton steps on the exact slope and
-curvature, which the polynomials' coefficients give. The objective is
-evaluated once more, on the refined points, and the best point found
-overall is kept: the slopes only steer, the maximum is the objective's own.
+sum is taken on a coarse grid, in plain floating point, only to steer:
+every local maximum of the grid is refined at once by safeguarded Newton
+steps on the exact slope and curvature, which the polynomials' coefficients
+give. The objective itself is evaluated once, on the grid maximum, both
+ends and the refined points, and the best of these is kept: the grid and
+the slopes only steer, the maximum is the objective's own.
 """
 
 from __future__ import annotations
@@ -32,21 +33,19 @@ _STEP_RTOL = 4.0 * np.finfo(float).eps
 _MAX_STEPS = 100
 
 
-def _log_slopes(coeffs, d1, d2, counts, w):
+def _log_slopes(stacked, counts, w):
     """Slope and curvature at each point of the 1-D ``w`` of
-    ``sum_i counts[i] * log p_i``, ``p_i`` the polynomial ``coeffs[i]`` with
-    derivatives ``d1[i]`` and ``d2[i]``; one block of rows at a time."""
-    slope = np.zeros(len(w))
-    curve = np.zeros(len(w))
+    ``sum_i counts[i] * log p_i``, rows ``3i, 3i + 1, 3i + 2`` of ``stacked``
+    holding ``p_i`` and its two derivatives; one block of rows at a time."""
+    slope, curve = np.zeros((2, len(w)))
     step = max(1, _SUM_BLOCK // len(w))
     for start in range(0, len(counts), step):
-        rows = slice(start, start + step)
-        p = _polyval_rows(coeffs[rows], w)
-        r1 = _polyval_rows(d1[rows], w) / p
-        r2 = _polyval_rows(d2[rows], w) / p
-        n = counts[rows, None]
+        p, d1, d2 = _polyval_rows(stacked[3 * start:3 * (start + step)], w).reshape(
+            -1, 3, len(w)).transpose(1, 0, 2)
+        r1 = d1 / p
+        n = counts[start:start + step, None]
         slope += (n * r1).sum(axis=0)
-        curve += (n * (r2 - r1 * r1)).sum(axis=0)
+        curve += (n * (d2 / p - r1 * r1)).sum(axis=0)
     return slope, curve
 
 
@@ -65,13 +64,15 @@ def maximize_on_interval(fn, lower: float, upper: float, coeffs: np.ndarray,
         Interval endpoints with ``lower < upper``.
     coeffs : ndarray, shape (k, d + 1), d >= 2
         Each ``p_i``'s coefficients, lowest degree first; they steer the
-        search through the slope and curvature of the sum.
+        search through a plain sum on the grid and the slope and curvature
+        of the sum.
     counts : ndarray, shape (k,)
         The weight of each ``log p_i``.
 
     A grid maximum at an end of the interval whose slope points outward is
-    that end, exactly. ``fn`` is called twice: on the grid and on the
-    refined points.
+    that end, exactly. ``fn`` is called once, on the grid maximum, both
+    ends and the refined points; the first of them with the greatest value
+    is returned.
 
     Returns
     -------
@@ -80,34 +81,33 @@ def maximize_on_interval(fn, lower: float, upper: float, coeffs: np.ndarray,
     if not lower < upper:
         raise ValueError(f"need lower < upper, got [{lower!r}, {upper!r}]")
     grid = np.linspace(lower, upper, _N_GRID)
-    vals = np.asarray(fn(grid), dtype=float)
-    if vals.shape != grid.shape:
-        raise ValueError("objective must return one value per grid point")
-    if np.any(np.isnan(vals)):
-        raise ValueError("objective returned NaN on the search grid")
-
-    best_idx = int(np.argmax(vals))
-    best_x = float(grid[best_idx])
-    best_val = float(vals[best_idx])
-    if not np.isfinite(best_val):
-        # Degenerate objective, nothing to refine.
-        return best_x, best_val
-
-    rising = np.concatenate(([True], vals[1:] > vals[:-1]))
-    falling = np.concatenate((vals[:-1] >= vals[1:], [True]))
-    peaks = np.flatnonzero(np.isfinite(vals) & rising & falling)
-    # Each peak's bracket, narrowed to a point with rising slope (lo) and
-    # one with falling slope (hi) as the steps go.
-    x = grid[peaks]
-    lo = grid[np.maximum(peaks - 1, 0)]
-    hi = grid[np.minimum(peaks + 1, _N_GRID - 1)]
-    d1 = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
-    d2 = d1[:, 1:] * np.arange(1, d1.shape[1])
-    active = np.arange(len(x))
+    rows = _SUM_BLOCK // _N_GRID
     with np.errstate(all="ignore"):   # p = 0 at a point makes its slope inf: bisect
+        # The steering grid: a plain float sum, one block of rows at a time.
+        vals = sum(counts[i:i + rows] @ np.log(_polyval_rows(coeffs[i:i + rows], grid))
+                   for i in range(0, len(counts), rows))
+        best = int(np.argmax(vals))
+        rising = np.concatenate(([True], vals[1:] > vals[:-1]))
+        falling = np.concatenate((vals[:-1] >= vals[1:], [True]))
+        # A non-finite grid maximum leaves no peak to refine.
+        peaks = np.flatnonzero(np.isfinite(vals) & rising & falling & np.isfinite(vals[best]))
+        # Each peak's bracket, narrowed to a point with rising slope (lo) and
+        # one with falling slope (hi) as the steps go.
+        x = grid[peaks]
+        lo = grid[np.maximum(peaks - 1, 0)]
+        hi = grid[np.minimum(peaks + 1, _N_GRID - 1)]
+        # Rows 3i, 3i + 1, 3i + 2: p_i and its two derivatives, zero-padded.
+        width = coeffs.shape[1]
+        stacked = np.zeros((3 * len(coeffs), width))
+        stacked[0::3] = coeffs
+        stacked[1::3, :-1] = coeffs[:, 1:] * np.arange(1, width)
+        stacked[2::3, :-2] = stacked[1::3, 1:-1] * np.arange(1, width - 1)
+        active = np.arange(len(x))
         for _ in range(_MAX_STEPS):
+            if not active.size:
+                break
             xa = x[active]
-            slope, curve = _log_slopes(coeffs, d1, d2, counts, xa)
+            slope, curve = _log_slopes(stacked, counts, xa)
             la = lo[active] = np.where(slope > 0.0, xa, lo[active])
             ha = hi[active] = np.where(slope < 0.0, xa, hi[active])
             step = -slope / curve
@@ -117,10 +117,10 @@ def maximize_on_interval(fn, lower: float, upper: float, coeffs: np.ndarray,
             use_newton = (curve < 0.0) & (newton > la) & (newton < ha)
             x[active] = np.where(done, xa, np.where(use_newton, newton, 0.5 * (la + ha)))
             active = active[~done]
-            if not active.size:
-                break
 
-    for cand_x, cand_val in zip(x.tolist(), np.asarray(fn(x), dtype=float).tolist()):
-        if cand_val > best_val:
-            best_x, best_val = cand_x, cand_val
-    return best_x, best_val
+    points = np.concatenate((grid[[best, 0, -1]], x))
+    exact = np.asarray(fn(points), dtype=float)
+    if np.isnan(vals[best]) or np.isnan(exact[:3]).any():   # argmax picks a NaN first
+        raise ValueError("objective returned NaN on the search grid")
+    best = int(np.argmax(np.fmax(exact, -np.inf)))   # the first of the greatest, NaN as -inf
+    return float(points[best]), float(exact[best])

@@ -77,9 +77,7 @@ class WoEResult:
     ``integrate-mc``;
     ``quad_abserr`` (the largest per-row error estimate) and
     ``quad_fallbacks`` (the number of row integrals refined by adaptive
-    bisection) are present exactly for ``integrate-quad``. A row's estimate
-    does not cover the rounding of the two log10 values its integrand
-    subtracts, so it is no bound on rows whose LR integral is near 0.
+    bisection) are present exactly for ``integrate-quad``.
     """
 
     woe: float
@@ -227,7 +225,8 @@ _QUAD_BLOCK = 128
 # centre and half-width. ``quad`` takes a prefix, so a call pays no setup.
 _BLOCK_PANELS = (np.repeat(np.arange(_QUAD_BLOCK), len(_PANEL_HALF)),
                  np.tile(_PANEL_CENTRE, _QUAD_BLOCK), np.tile(_PANEL_HALF, _QUAD_BLOCK))
-_ROUNDOFF = 50.0 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_ROUNDOFF = 50.0 * _EPS
 
 
 def _node_quantiles(prior: ScaledBeta) -> np.ndarray:
@@ -249,11 +248,12 @@ _QUAD_LEVELS = 16
 _QUAD_LIMIT = 512
 
 
-def _gk21(f: np.ndarray, half: np.ndarray):
-    """Per panel, from the integrand at its 21 nodes (one panel a line) and
-    its half-width: the K21 value, ``|K21 - G10|`` and the K21 integral of
-    ``|f|``."""
-    return half * (f @ _WK21), half * np.abs(f @ (_WK21 - _WG21)), half * (np.abs(f) @ _WK21)
+def _gk21(f: np.ndarray, scale: np.ndarray, half: np.ndarray):
+    """Per panel, from the integrand and its rounding scale at its 21 nodes
+    (one panel a line) and its half-width: the K21 value, ``|K21 - G10|``
+    and the K21 integrals of ``|f|`` and of the scale."""
+    return (half * (f @ _WK21), half * np.abs(f @ (_WK21 - _WG21)), half * (np.abs(f) @ _WK21),
+            half * (scale @ _WK21))
 
 
 def quad(f, f0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -261,11 +261,12 @@ def quad(f, f0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     composite rule and adaptive bisection of its panels, and the number of
     rows whose first estimate exceeded ``tol / 2``.
 
-    ``f(v, rows)`` is the integrand at CDF points ``v`` of shape
-    (panels, 21), line ``i`` of ``v`` belonging to row ``rows[i]``; ``f0``
-    (rows, nodes), at most ``_QUAD_BLOCK`` rows, holds it at the composite
-    rule's nodes. A row's value is the sum of its panels' K21 values, and
-    its error estimate the sum of their ``|K21 - G10|``, floored at
+    ``f(v, rows)`` gives the integrand and a bound on its rounding in units
+    of eps at CDF points ``v`` of shape (panels, 21), line ``i`` of ``v``
+    belonging to row ``rows[i]``; ``f0``, at most ``_QUAD_BLOCK`` rows,
+    holds both at the composite rule's nodes. A row's value is the sum of
+    its panels' K21 values, and its error estimate the sum of their
+    ``|K21 - G10|``, floored at eps times the integral of the bound and at
     QUADPACK's round-off level ``_ROUNDOFF`` times the integral of ``|f|``.
     Level 0 is the rule's 47 panels. Each level bisects, in every row whose
     estimate exceeds ``tol / 2``, the panels whose ``|K21 - G10|`` exceeds
@@ -276,11 +277,12 @@ def quad(f, f0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     row is over ``tol / 2`` or no panel is split, or after ``_QUAD_LEVELS``
     levels, and stops splitting a row once it has ``_QUAD_LIMIT`` panels.
     """
-    n = len(f0)
+    n = len(f0[0])
     row, centre, half = (a[:n * len(_PANEL_HALF)] for a in _BLOCK_PANELS)
-    value, gap, size = _gk21(f0.reshape(-1, 21), half)
+    value, gap, size, rounding = _gk21(*(a.reshape(-1, 21) for a in f0), half)
     for level in range(_QUAD_LEVELS + 1):
         error = np.maximum(np.bincount(row, gap, n), _ROUNDOFF * np.bincount(row, size, n))
+        error = np.maximum(error, _EPS * np.bincount(row, rounding, n))
         panels = np.bincount(row, minlength=n)
         open_rows = (error > 0.5 * tol) & (panels < _QUAD_LIMIT)
         if level == 0:
@@ -297,20 +299,21 @@ def quad(f, f0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
         new_half = np.tile(quarter, 2)
         new_row = np.tile(row[split], 2)
         v = np.clip(new_centre[:, None] + new_half[:, None] * _X21, *_OPEN)
-        parts = _gk21(f(v, new_row), new_half)
-        row, centre, half, value, gap, size = (
+        parts = _gk21(*f(v, new_row), new_half)
+        row, centre, half, value, gap, size, rounding = (
             np.concatenate((old[keep], new)) for old, new in
-            zip((row, centre, half, value, gap, size), (new_row, new_centre, new_half, *parts)))
+            zip((row, centre, half, value, gap, size, rounding),
+                (new_row, new_centre, new_half, *parts)))
     return np.bincount(row, value, n), error, flagged
 
 
 def _integrand(term, prior: ScaledBeta, start: int):
     """``quad``'s integrand for the block of rows from ``start``: the per-row
-    ``term(w, rows)``, such as ``CaseKernel.log10_lr``, at ``w`` the prior's
+    ``term(w, rows)``, such as ``CaseKernel.log10_lr_err``, at ``w`` the prior's
     quantiles floored at ``_W_FLOOR``. One ``prior.quantile`` call per
     evaluation, on the distinct points only, since the rows mostly split the
     same panels."""
-    def f(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def f(v: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         points, where = np.unique(v.ravel(), return_inverse=True)
         w = np.maximum(prior.quantile(points), _W_FLOOR)[where.reshape(v.shape)]
         return term(w, rows + start)
@@ -346,7 +349,7 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     for start in range(0, m, _QUAD_BLOCK):
         block = slice(start, start + _QUAD_BLOCK)
         values[block], errors[block], flagged = quad(
-            _integrand(kernel.log10_lr, prior, start), kernel.log10_lr(w, block), tol)
+            _integrand(kernel.log10_lr_err, prior, start), kernel.log10_lr_err(w, block), tol)
         refined += flagged
     bad = np.flatnonzero(errors > tol)
     if bad.size:

@@ -26,12 +26,18 @@ PRIORS75 = hwe_priors(0.75)
 PRIORS90 = hwe_priors(0.9)
 
 
-def casework_duplicate_sets():
-    """The benchmark's 48 casework duplicate-pair sets, as its run builds them."""
+def perfbench_inputs():
+    """The benchmark's input module, ``perfbench/inputs.py``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def casework_duplicate_sets():
+    """The benchmark's 48 casework duplicate-pair sets, as its run builds them."""
+    inputs = perfbench_inputs()
     for rnd in range(inputs.FULL.pool_rounds):
         q, first, second = inputs.duplicate_arrays(inputs.FULL, rnd)
         yield [MarkerObservation(int(a), int(b), hwe_priors(float(f)))
@@ -215,9 +221,9 @@ class TestEstimatePerMarker:
         assert peak_rss_above_case_mb("estimate_w_mle_per_marker(observations)", setup) < 150.0
 
     def test_end_points_reuse_the_grid_sums(self, monkeypatch):
-        """Both ends of the search are grid points, so one MLE sums the
-        log-likelihood twice (grid, refined points); each end's one-point
-        sum, which an MLE used to recompute, equals its grid value."""
+        """One MLE sums the log-likelihood exactly once, on the grid
+        maximum, both ends and the refined points; each end's one-point sum,
+        which an MLE used to recompute, equals its grid value."""
         totals, objectives = [], []
         real_total, real_maximize = estimation._row_total, estimation.maximize_on_interval
         monkeypatch.setattr(estimation, "_row_total",
@@ -229,7 +235,7 @@ class TestEstimatePerMarker:
         for observations in casework_duplicate_sets():
             totals.clear()
             estimates.append(estimate_w_mle_per_marker(observations))
-            assert len(totals) == 2
+            assert len(totals) == 1
             log_lik = objectives[-1]
             on_grid = log_lik(grid)
             for i, end in ((0, 0.0), (-1, W_SEARCH_MAX)):

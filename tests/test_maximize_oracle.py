@@ -1,0 +1,189 @@
+"""Differential tests: profile and the duplicate MLE with the library's
+maximizer, which steers on a plain float sum, against the same calls with
+the maximizer that summed its whole grid exactly (``oracle_maximize``).
+
+Every search of both runs returns its argmax and value; a pair of searches
+may differ only at a near-tie of exact values, within 1e-12 relative. Each
+test counts such ties and pins the count (none so far), and a case without
+a tie must give bit-identical results.
+"""
+
+import numpy as np
+import pytest
+from numpy.polynomial import polynomial as P
+
+import oracle_maximize
+from snpwoe import estimation, unknown_w
+from snpwoe.estimation import PairCountTable, estimate_w_mle, estimate_w_mle_per_marker
+from snpwoe.evidence import CaseData, MarkerObservation
+from snpwoe.genotypes import GenotypePriors, hwe_prior_array, hwe_priors
+from snpwoe.optimize import maximize_on_interval
+from snpwoe.unknown_w import woe_profile
+from test_estimation import casework_duplicate_sets, perfbench_inputs
+from test_optimize import log_lik
+
+TIE = 1e-12
+SIZES = (1, 2, 3, 10, 50, 200, 2000, 20_000)
+
+
+def near_tie(new, old):
+    return abs(new - old) <= TIE * max(1.0, abs(old))
+
+
+def profile_fields(result):
+    return result.woe, result.w_hat_h1, result.w_hat_h2
+
+
+def mle_fields(est):
+    return est.w, est.log_likelihood, est.at_boundary
+
+
+def compare(monkeypatch, run, fields):
+    """Runs ``run()`` with the library's and with the oracle's maximizer and
+    returns the number of near-ties among their searches; without one, the
+    two results' ``fields`` must be identical, bit for bit."""
+    outcomes = []
+    for maximize in (maximize_on_interval, oracle_maximize.maximize_on_interval):
+        searches = []
+
+        def recorded(*args, maximize=maximize, searches=searches):
+            searches.append(maximize(*args))
+            return searches[-1]
+
+        for module in (unknown_w, estimation):
+            monkeypatch.setattr(module, "maximize_on_interval", recorded)
+        outcomes.append((fields(run()), searches))
+    (new, new_searches), (old, old_searches) = outcomes
+    assert len(new_searches) == len(old_searches) > 0
+    ties = 0
+    for (x_new, v_new), (x_old, v_old) in zip(new_searches, old_searches):
+        if (x_new, v_new) != (x_old, v_old):
+            assert near_tie(v_new, v_old), (x_new, v_new, x_old, v_old)
+            ties += 1
+    if not ties:
+        assert repr(new) == repr(old)
+    return ties
+
+
+def simulated(rng, m, w_r, per_marker, hyp, w_t=0.01):
+    """A case of ``m`` markers under H1 (``hyp`` 0) or H2, with one shared q
+    or one q per marker from U(0.05, 0.95)."""
+    q = rng.uniform(0.05, 0.95, m if per_marker else 1) * np.ones(m)
+    priors = hwe_prior_array(q)
+
+    def genotypes():
+        return (rng.random(m)[:, None] > np.cumsum(priors, axis=1)[:, :2]).sum(axis=1)
+
+    z_t = genotypes()
+    z_r = z_t if hyp == 0 else genotypes()
+
+    def observe(z, w):
+        flips = rng.random((2, m)) < w
+        return ((z >= 1) ^ flips[0]).astype(int) + ((z == 2) ^ flips[1]).astype(int)
+
+    return CaseData.from_arrays(observe(z_t, w_t), observe(z_r, w_r), priors)
+
+
+class TestProfile:
+    @pytest.mark.parametrize("per_marker", [False, True], ids=["shared-q", "per-marker-q"])
+    @pytest.mark.parametrize("w_r", [0.0, 1e-4])
+    def test_simulated_cases(self, monkeypatch, per_marker, w_r):
+        rng = np.random.default_rng([22, per_marker, int(w_r > 0)])
+        ties = 0
+        for m in SIZES:
+            for hyp in (0, 1):
+                case = simulated(rng, m, w_r, per_marker, hyp)
+                ties += compare(monkeypatch, lambda: woe_profile(case, w_r), profile_fields)
+        assert ties == 0
+
+    def test_casework_rounds(self, monkeypatch):
+        """The benchmark's 48 casework rounds, both profile cases each."""
+        inputs = perfbench_inputs()
+        ties = 0
+        for rnd in range(inputs.FULL.pool_rounds):
+            for hyp in (0, 1):
+                q, x_t, x_r = inputs.case_arrays(inputs.FULL, rnd, "profile", hyp)
+                case = CaseData.from_arrays(x_t, x_r, hwe_prior_array(q))
+                ties += compare(monkeypatch, lambda: woe_profile(case, inputs.W_R),
+                                profile_fields)
+        assert ties == 0
+
+    def test_hard_exclusions(self, monkeypatch):
+        """At w_r = 0 a trace homozygote against the other homozygote is
+        impossible under H1 at w = 0: -inf there."""
+        rng = np.random.default_rng(2201)
+        ties = 0
+        for m in (1, 5, 200):
+            case = simulated(rng, m, 0.0, True, 1, w_t=0.05)
+            excluded = CaseData.from_arrays(np.append(case.x_t, 2), np.append(case.x_r, 0),
+                                            np.vstack((case.priors, hwe_priors(0.5).as_array())))
+            for c in (case, excluded):
+                ties += compare(monkeypatch, lambda: woe_profile(c, 0.0), profile_fields)
+        assert ties == 0
+
+    @pytest.mark.parametrize("w_r", [0.0, 1e-4])
+    def test_all_monomorphic(self, monkeypatch, w_r):
+        """Every prior is one dosage with certainty: a likelihood ratio of
+        exactly 1, and -inf at w = 0 wherever the trace read differs."""
+        ties = 0
+        for x_t in ([0, 0, 0], [0, 1, 2], [1, 1]):
+            case = CaseData.from_arrays(x_t, [0] * len(x_t), hwe_prior_array(np.ones(len(x_t))))
+            ties += compare(monkeypatch, lambda: woe_profile(case, w_r), profile_fields)
+        assert ties == 0
+
+    @pytest.mark.parametrize("lower, upper", [(0.01, 0.2), (0.0, 1e-3), (1e-6, 1e-3),
+                                              (0.3, 0.5), (0.2, 0.2 + 1e-9)])
+    def test_restricted_intervals(self, monkeypatch, lower, upper):
+        rng = np.random.default_rng([2202, int(lower * 1e6)])
+        ties = 0
+        for m in (1, 20, 2000):
+            for hyp in (0, 1):
+                case = simulated(rng, m, 1e-4, True, hyp, w_t=0.05)
+                ties += compare(monkeypatch, lambda: woe_profile(case, 1e-4, lower, upper),
+                                profile_fields)
+        assert ties == 0
+
+
+class TestMLE:
+    @pytest.mark.parametrize("per_marker", [False, True], ids=["shared-q", "per-marker-q"])
+    def test_simulated_duplicates(self, monkeypatch, per_marker):
+        rng = np.random.default_rng([2203, per_marker])
+        ties = 0
+        for m in SIZES:
+            for w in (0.0, 1e-3, 1e-2, 0.2):
+                case = simulated(rng, m, w, per_marker, 0, w_t=w)
+                observations = [MarkerObservation(a, b, GenotypePriors(*p)) for a, b, p in
+                                zip(case.x_t.tolist(), case.x_r.tolist(), case.priors.tolist())]
+                ties += compare(monkeypatch, lambda: estimate_w_mle_per_marker(observations),
+                                mle_fields)
+        assert ties == 0
+
+    def test_casework_duplicate_sets(self, monkeypatch):
+        ties = sum(compare(monkeypatch, lambda: estimate_w_mle_per_marker(obs), mle_fields)
+                   for obs in casework_duplicate_sets())
+        assert ties == 0
+
+    def test_tables(self, monkeypatch):
+        """Pair-count tables, concordant, sparse and dense."""
+        rng = np.random.default_rng(2204)
+        tables = [np.diag([810, 170, 16]), [[810, 9, 0], [10, 170, 2], [0, 3, 16]],
+                  [[0, 1, 0], [0, 0, 0], [0, 0, 0]]]
+        tables += [rng.integers(0, 50, (3, 3)) for _ in range(8)]
+        ties = 0
+        for q in (0.5, 0.9):
+            for counts in tables:
+                table = PairCountTable(np.asarray(counts), hwe_priors(q))
+                ties += compare(monkeypatch, lambda: estimate_w_mle(table), mle_fields)
+        assert ties == 0
+
+
+def test_bimodal_polynomial():
+    """The two-mode objective of ``test_optimize``, on the whole interval and
+    on pieces that cut each mode."""
+    bimodal = P.polysub([0.01], P.polymul(P.polymul([-0.1, 1], [-0.1, 1]),
+                                          P.polymul([-0.4, 1], [-0.4, 1])))
+    fn, coeffs, counts = log_lik([bimodal, [1.0, 0.5, 0.0, 0.0, 0.0]], [1.0, 1.0])
+    for lower, upper in ((0.0, 0.5), (0.0, 0.25), (0.05, 0.45), (0.2, 0.5)):
+        new = maximize_on_interval(fn, lower, upper, coeffs, counts)
+        assert repr(new) == repr(oracle_maximize.maximize_on_interval(fn, lower, upper,
+                                                                      coeffs, counts))

@@ -32,7 +32,7 @@ def maximize(coeffs, counts, lower=0.0, upper=0.5):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         w, value = maximize_on_interval(fn, lower, upper, coeffs, counts)
-    assert fn.calls <= 2
+    assert fn.calls == 1
     return w, value, fn
 
 

@@ -44,13 +44,9 @@ TOL = 1e-10
 PRIORS = ([(ScaledBeta.from_moments(mu, var), 0.0) for mu, var, *_ in PRIOR_TABLE]
           + [(ScaledBeta(1.0, 1.0), 0.0), (ScaledBeta(0.5, 0.5), 0.0)]
           + [(ScaledBeta.from_moments(w0, w0 * w0 * 1e-8), 2e-13) for w0 in (1e-4, 1e-3, 1e-2)])
-# An LR row's integrand is the difference of two rounded log10 values, each
-# off by up to about eps relative to itself, plus eps absolute near 0 from
-# the rounding of a probability near 1. The reference takes the difference
-# at 30 digits, so an LR row is also allowed eps * (1 + |I1| + |I2|), I1
-# and I2 its H1 and H2 integrals: far below tol, but above the rule's own
-# estimate where the LR is tiny.
-EPS = np.finfo(float).eps
+# An LR row's integrand is the difference of two rounded log10 values; its
+# reported error covers that rounding, eps * (1 + |log10 h1| + |log10 h2|)
+# integrated, so it gets no allowance on top.
 GENOTYPE_PRIORS = [hwe_priors(q) for q in (0.05, 0.5, 0.9, 1.0 - 1e-7)] + list(ZERO_PRIORS)
 W_R = (0.0, 1e-5, 1e-4)
 
@@ -77,10 +73,10 @@ def reference(prior):
 
 
 def refine(term, k, prior, tol):
-    """``quad`` on the ``k`` rows of the per-row ``term(w, rows)``, a block
-    at a time as ``integrate-quad`` takes them: values, error estimates and
-    the number of rows over ``tol / 2`` at level 0; ``tol = inf`` stops at
-    level 0, the composite rule itself."""
+    """``quad`` on the ``k`` rows of the per-row ``term(w, rows)`` (values
+    and rounding bound), a block at a time as ``integrate-quad`` takes
+    them: values, error estimates and the number of rows over ``tol / 2``
+    at level 0; ``tol = inf`` stops at level 0, the composite rule itself."""
     w = _node_quantiles(prior)
     blocks = [quad(_integrand(term, prior, start), term(w, slice(start, start + _QUAD_BLOCK)), tol)
               for start in range(0, k, _QUAD_BLOCK)]
@@ -89,8 +85,12 @@ def refine(term, k, prior, tol):
 
 
 def log10_term(coeffs):
-    """The per-row term ``log10(coeffs[rows] @ (1, w, w**2))``."""
-    return lambda w, rows: _log10_rows(coeffs[rows], w)
+    """The per-row term ``log10(coeffs[rows] @ (1, w, w**2))``, with a zero
+    rounding bound: its reported error gets no input-rounding floor."""
+    def term(w, rows):
+        values = _log10_rows(coeffs[rows], w)
+        return values, np.zeros_like(values)
+    return term
 
 
 def row_terms(kernel, ref, input_error):
@@ -103,9 +103,8 @@ def row_terms(kernel, ref, input_error):
     for values in refs:
         assert max(error for _, error in values) <= 1e-11
         want.append(np.array([value for value, _ in values]))
-    i1, i2 = np.split(np.abs(want[0]), 2)
     return ((log10_term(rows), want[0], np.full(len(rows), input_error)),
-            (kernel.log10_lr, want[1], input_error + EPS * (1.0 + i1 + i2)))
+            (kernel.log10_lr_err, want[1], np.full(len(kernel.c_h1), input_error)))
 
 
 def check_level_zero(term, want, input_error, prior, w_r):
@@ -218,8 +217,10 @@ def test_level_zero_and_children_evaluate_alike(prior):
     rows = np.concatenate((kernel.c_h1, kernel.c_t))
     w = _node_quantiles(prior)
     panels = _QUAD_NODES.reshape(-1, 21)
-    for term, k in ((log10_term(rows), len(rows)), (kernel.log10_lr, len(kernel.c_h1))):
+    for term, k in ((log10_term(rows), len(rows)),
+                    (kernel.log10_lr_err, len(kernel.c_h1))):
         level0 = term(w, slice(None))
         children = _integrand(term, prior, 0)(np.tile(panels, (k, 1)),
                                               np.repeat(np.arange(k), len(panels)))
-        assert np.array_equal(children.reshape(level0.shape), level0)
+        for child, parent in zip(children, level0):
+            assert np.array_equal(child.reshape(parent.shape), parent)
