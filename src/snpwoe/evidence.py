@@ -19,7 +19,8 @@ method costs O(distinct rows) per ``w``: at most 9 when all markers share a
 prior, m when each has its own allele frequency. Rows are sorted by value.
 Row sums are exact, equal to ``math.fsum`` of the weighted terms, and are
 taken one block of rows at a time, so they depend on neither row nor marker
-order and no (rows x points) matrix is built.
+order and no (rows x points) matrix is built. At points that all rows share
+(MC's draws), a block of rows is one matrix product, no row moving another.
 ``joint_table_h1``/``h2`` are the direct contractions, kept as reference.
 """
 
@@ -110,18 +111,20 @@ class CaseData:
         case._set_columns(x_t, x_r, priors, ids)
         return case
 
-    def _set_columns(self, x_t, x_r, priors, ids) -> None:
-        """The one check both constructors run; stores read-only columns."""
-        if not np.size(x_t):
-            raise ValueError("a case needs at least one marker")
-        x_t, x_r = validate_dosage(x_t, "x_t"), validate_dosage(x_r, "x_r")
-        priors = prior_array(priors)
+    def _set_columns(self, x_t, x_r, priors, ids, checked: bool = False) -> None:
+        """The one check both constructors run; stores read-only columns.
+        Columns ``checked`` as the case-file parser makes them keep their values."""
+        if not checked:
+            if not np.size(x_t):
+                raise ValueError("a case needs at least one marker")
+            x_t, x_r = validate_dosage(x_t, "x_t"), validate_dosage(x_r, "x_r")
+            priors = prior_array(priors)
         m = len(priors)
         if np.shape(x_t) != (m,) or np.shape(x_r) != (m,):
             raise ValueError(f"dosages x_t and x_r must have shape ({m},) to match {m} rows "
                              f"of priors, got {np.shape(x_t)} and {np.shape(x_r)}")
         if ids is not None:
-            ids = tuple(map(str, ids))
+            ids = tuple(ids if checked else map(str, ids))
             if len(ids) != m:
                 raise ValueError(f"got {len(ids)} marker ids for {m} markers")
             if len(set(ids)) != len(ids):
@@ -167,19 +170,18 @@ class CaseData:
         return self._kernels[w_r]
 
 
-def _polyval_rows(coeffs: np.ndarray, w, out: np.ndarray | None = None) -> np.ndarray:
+def _polyval_rows(coeffs: np.ndarray, w) -> np.ndarray:
     """Each row's polynomial (coefficients lowest degree first) at ``w`` by
     Horner's rule, elementwise so that a value depends on neither its row's
     position nor the form of ``w``: scalar ``w`` gives shape (k,); 1-D ``w``
     of n points, shared by every row, gives (k, n); 2-D ``w`` of shape
     (k, n) gives row ``i`` its own points ``w[i]``. Above degree 0 the
-    result is evaluated in place, in ``out`` when given (of the result's
-    shape), else in a new array."""
+    result is a new array, evaluated in place."""
     w = np.asarray(w, dtype=float)
     c = coeffs if w.ndim == 0 else coeffs[:, :, None]
     result = c[:, -1]
     for j in range(coeffs.shape[1] - 2, -1, -1):
-        result = np.multiply(result, w, out=out if j == coeffs.shape[1] - 2 else result)
+        result = result * w if j == coeffs.shape[1] - 2 else np.multiply(result, w, out=result)
         result += c[:, j]
     return result
 
@@ -303,12 +305,11 @@ def _row_total(counts: np.ndarray, term, w):
     return float(sums[0]) if w.ndim == 0 else sums.reshape(w.shape)
 
 
-def _log10_rows(coeffs: np.ndarray, w, out: np.ndarray | None = None) -> np.ndarray:
-    """Per row, ``log10(coeffs @ (1, w, w**2))``, -inf where that is 0; in
-    ``out`` when given."""
-    out = _polyval_rows(coeffs, w, out)
+def _log10_rows(coeffs: np.ndarray, w) -> np.ndarray:
+    """Per row, ``log10(coeffs @ (1, w, w**2))``, -inf where that is 0."""
+    p = _polyval_rows(coeffs, w)
     with np.errstate(divide="ignore"):
-        return np.log10(out, out=out)
+        return np.log10(p, out=p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,8 +327,8 @@ class CaseKernel:
     its ``c_t``: a likelihood ratio of exactly 1 at every ``w``.
 
     The per-row methods take ``rows``, a slice or an index array, to
-    evaluate only those rows, ``w`` in any form :func:`_polyval_rows` takes,
-    and ``out``, an array of the result's shape to evaluate them in.
+    evaluate only those rows, and ``w`` in any form :func:`_polyval_rows`
+    takes; :meth:`log10_ratio` takes the powers of points every row shares.
     """
 
     x_t: np.ndarray
@@ -353,20 +354,34 @@ class CaseKernel:
             log10_mr = np.log10(mr)
         return cls(x_t, x_r, counts, first, inverse, c_h1, c_t, log10_mr)
 
-    def log10_h1(self, w, rows=slice(None), out: np.ndarray | None = None) -> np.ndarray:
+    def log10_h1(self, w, rows=slice(None)) -> np.ndarray:
         """Per-row log10 P(x_t | x_r, H1, w, w_r), conditional on the
         reference read; -inf at a hard exclusion."""
-        return _log10_rows(self.c_h1[rows], w, out)
+        return _log10_rows(self.c_h1[rows], w)
 
-    def log10_h2(self, w, rows=slice(None), out: np.ndarray | None = None) -> np.ndarray:
+    def log10_h2(self, w, rows=slice(None)) -> np.ndarray:
         """Per-row log10 P(x_t | x_r, H2, w, w_r), conditional on the reference read."""
-        return _log10_rows(self.c_t[rows], w, out)
+        return _log10_rows(self.c_t[rows], w)
 
     def log10_lr(self, w, rows=slice(None)) -> np.ndarray:
         """Per-row log10 likelihood ratio, :meth:`log10_h1` less :meth:`log10_h2`."""
         lr = self.log10_h1(w, rows)
         lr -= self.log10_h2(w, rows)
         return lr
+
+    def log10_ratio(self, powers: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
+        """Per-row ``log10(p_h1 / p_h2)`` at n points in [1e-120, 1/2) shared by
+        the rows, whose powers ``(1, w, w**2)`` are the (3, n) ``powers``; in the
+        first k of 2k or more rows of ``out``. The rows' ``c_h1`` over their ``c_t``
+        make one gemm of 2 rows or more (numpy sends 1 row to gemv, which rounds
+        otherwise), so no value depends on other rows or on BLAS threads. Channel
+        entries are at least ``w**2`` for w < 1/2, so the ratio of probabilities
+        in [1e-240, 1] needs no guard; ``c_h1 == c_t`` gives exactly 1."""
+        coeffs = np.concatenate((self.c_h1[rows], self.c_t[rows]))
+        k = len(coeffs) // 2
+        p = np.matmul(coeffs, powers, out=out[:2 * k])
+        ratio = np.divide(p[:k], p[k:], out=p[:k])
+        return np.log10(ratio, out=ratio)
 
     def log10_lr_err(self, w, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`log10_lr` and its rounding bound in eps, ``1 + |log10 h1| + |log10 h2|``."""

@@ -156,8 +156,10 @@ def _case_from_reader(reader) -> CaseData:
     if not ids:
         raise ValueError("no markers")
     x_t, x_r, priors = map(np.concatenate, zip(*blocks))
-    # CaseData checks that the ids are unique; a duplicate raises ValueError.
-    return CaseData.from_arrays(x_t, x_r, priors, ids)
+    # CaseData checks only that the ids are unique; a duplicate raises ValueError.
+    case = CaseData.__new__(CaseData)
+    case._set_columns(x_t, x_r, priors, ids, checked=True)
+    return case
 
 
 def _is_blank(row: list[str]) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evidence import _SUM_BLOCK, CaseData, _exact_sum, _supported_kernel, woe_known
+from .evidence import _SUM_BLOCK, CaseData, CaseKernel, _exact_sum, _supported_kernel, woe_known
 from .genotypes import validate_error_prob, validate_integer, validate_positive, validate_real
 from .optimize import HALF_OPEN_MARGIN, W_SEARCH_MAX, maximize_on_interval
 from .scaled_beta import ScaledBeta
@@ -135,37 +135,40 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
     One set of ``n_samples`` prior draws, floored at ``_W_FLOOR`` as
     quadrature's nodes are, is shared across all markers and both
     hypotheses, so the two integrals are evaluated on common random numbers.
-    Each draw's case-level log10 likelihood difference adds the kernel's
-    rows in their sorted order, whatever the marker order; the estimate is
-    the correctly rounded mean of these per-draw sums, and the standard
-    error of that mean is reported alongside, with the number of draws
-    raised to the floor. Rows are taken one block at a time, so memory does
-    not grow with m.
+    Each draw's case-level log10 LR adds the kernel's rows in their sorted
+    order, whatever the marker order; the estimate is the correctly rounded
+    mean of these per-draw sums, and the standard error of that mean is
+    reported alongside, with the number of draws raised to the floor. Rows
+    are taken one block at a time, so memory does not grow with m, and a
+    row's term (:meth:`~snpwoe.evidence.CaseKernel.log10_ratio`) moves with
+    neither its block nor the BLAS thread count.
     """
     w_r = validate_error_prob(w_r, "w_r")
     n_samples = validate_integer(n_samples, "n_samples", 2)
     kernel = _supported_kernel(case, None, w_r)
     draws = np.maximum(prior.sample(rng, n_samples), _W_FLOOR)
-    step = max(1, _SUM_BLOCK // n_samples)
-    # Row 0 of the buffer carries each draw's sum over the rows before the
-    # block, so the per-draw sums add the rows one by one in order, as one
-    # axis-0 sum over all rows does. The block's H1 terms are evaluated in
-    # the rows after it, its H2 terms in a second buffer.
-    buffer = np.zeros((step + 1, n_samples))
-    h2 = np.empty((step, n_samples))
-    m = len(kernel.counts)
-    for start in range(0, m, step):
-        rows = slice(start, start + step)
-        k = min(step, m - start)
-        diff = kernel.log10_h1(draws, rows, out=buffer[1:k + 1])
-        diff -= kernel.log10_h2(draws, rows, out=h2[:k])
-        diff *= kernel.counts[rows, None]
-        buffer[0] = buffer[:k + 1].sum(axis=0)
-    per_draw = buffer[0]
+    per_draw = _mc_sums(kernel, draws)
     woe = math.fsum(per_draw.tolist()) / n_samples
     se = float(np.std(per_draw, ddof=1) / math.sqrt(n_samples))
     at_floor = int(np.count_nonzero(draws == _W_FLOOR))
     return WoEResult(woe, METHOD_INTEGRATE_MC, mc_std_error=se, mc_draws_at_floor=at_floor)
+
+
+def _mc_sums(kernel: CaseKernel, draws: np.ndarray) -> np.ndarray:
+    """Per draw, the count-weighted log10 LR of the kernel's rows, added in order."""
+    step = max(1, _SUM_BLOCK // len(draws))
+    powers = np.stack((np.ones_like(draws), draws, draws * draws))
+    # Row 0 of the buffer carries each draw's sum over the rows before the
+    # block, so the per-draw sums add the rows one by one in order, as one
+    # axis-0 sum over all rows does. The block's terms are evaluated in the
+    # rows after it, and its H2 probabilities in the rows after those.
+    buffer = np.zeros((2 * step + 1, len(draws)))
+    for start in range(0, len(kernel.counts), step):
+        rows = slice(start, start + step)
+        term = kernel.log10_ratio(powers, rows, out=buffer[1:])
+        term *= kernel.counts[rows, None]
+        buffer[0] = buffer[:len(term) + 1].sum(axis=0)
+    return buffer[0]
 
 
 # QUADPACK's qk21 pair (Piessens et al. 1983): the 21-point Kronrod nodes on
