@@ -4,14 +4,18 @@ The objectives here are log-likelihoods over an error probability ``w``,
 ``sum_i counts[i] * log p_i(w)`` with each ``p_i`` a polynomial. They are
 smooth but can be multimodal, so a single local search is not safe. The
 sum is taken on a coarse grid, in plain floating point, only to steer:
-every local maximum of the grid is refined at once by safeguarded Newton
-steps on the exact slope and curvature, which the polynomials' coefficients
-give. The objective itself is evaluated once, on the grid maximum, both
-ends and the refined points, and the best of these is kept: the grid and
-the slopes only steer, the maximum is the objective's own.
+every local maximum of the grid is refined by safeguarded Newton steps on
+the exact slope and curvature, summed over the rows for all peaks at once;
+each peak's bracket, step and stop test are Python float arithmetic, the
+IEEE operations of numpy's elementwise ones. The objective itself is
+evaluated once, on the grid maximum, both ends and the refined points, and
+the best of these is kept: the grid and the slopes only steer, the maximum
+is the objective's own.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,7 +33,7 @@ _N_GRID = 65
 _XATOL = 1e-11
 # A Newton step this small relative to its point is rounding: the point is
 # the maximum. Bisection alone needs about 30 steps from a grid bracket.
-_STEP_RTOL = 4.0 * np.finfo(float).eps
+_STEP_RTOL = 4.0 * float(np.finfo(float).eps)
 _MAX_STEPS = 100
 
 
@@ -37,15 +41,17 @@ def _log_slopes(stacked, counts, w):
     """Slope and curvature at each point of the 1-D ``w`` of
     ``sum_i counts[i] * log p_i``, rows ``3i, 3i + 1, 3i + 2`` of ``stacked``
     holding ``p_i`` and its two derivatives; one block of rows at a time."""
-    slope, curve = np.zeros((2, len(w)))
+    # numpy adds a (k, 1) block's rows pairwise but a C-contiguous (k, n >= 2)
+    # block's in order: all active peaks share one call, on a C-contiguous
+    # ``w``, as a call per peak would move its bits whenever another is active.
     step = max(1, _SUM_BLOCK // len(w))
     for start in range(0, len(counts), step):
-        p, d1, d2 = _polyval_rows(stacked[3 * start:3 * (start + step)], w).reshape(
-            -1, 3, len(w)).transpose(1, 0, 2)
+        values = _polyval_rows(stacked[3 * start:3 * (start + step)], w)
+        p, d1, d2 = values[0::3], values[1::3], values[2::3]
         r1 = d1 / p
         n = counts[start:start + step, None]
-        slope += (n * r1).sum(axis=0)
-        curve += (n * (d2 / p - r1 * r1)).sum(axis=0)
+        sums = np.add.reduce(n * r1), np.add.reduce(n * (d2 / p - r1 * r1))
+        slope, curve = sums if start == 0 else (slope + sums[0], curve + sums[1])
     return slope, curve
 
 
@@ -80,47 +86,55 @@ def maximize_on_interval(fn, lower: float, upper: float, coeffs: np.ndarray,
     """
     if not lower < upper:
         raise ValueError(f"need lower < upper, got [{lower!r}, {upper!r}]")
-    grid = np.linspace(lower, upper, _N_GRID)
+    # np.linspace's own arithmetic, which scales first where the step underflows.
+    spacing = (upper - lower) / (_N_GRID - 1)
+    grid = np.arange(_N_GRID) * spacing + lower if spacing else np.linspace(lower, upper, _N_GRID)
+    grid[-1] = upper
     rows = _SUM_BLOCK // _N_GRID
     with np.errstate(all="ignore"):   # p = 0 at a point makes its slope inf: bisect
         # The steering grid: a plain float sum, one block of rows at a time.
         vals = sum(counts[i:i + rows] @ np.log(_polyval_rows(coeffs[i:i + rows], grid))
                    for i in range(0, len(counts), rows))
         best = int(np.argmax(vals))
-        rising = np.concatenate(([True], vals[1:] > vals[:-1]))
-        falling = np.concatenate((vals[:-1] >= vals[1:], [True]))
-        # A non-finite grid maximum leaves no peak to refine.
-        peaks = np.flatnonzero(np.isfinite(vals) & rising & falling & np.isfinite(vals[best]))
+        v, g = vals.tolist(), grid.tolist()
+        # A non-finite grid maximum leaves no peak to refine; otherwise a peak
+        # is above its left neighbour and at least its right one, -inf beyond.
+        edged = [-math.inf, *v, -math.inf]
+        peaks = [i for i, mid in enumerate(v)
+                 if edged[i] < mid >= edged[i + 2] and math.isfinite(v[best])]
         # Each peak's bracket, narrowed to a point with rising slope (lo) and
         # one with falling slope (hi) as the steps go.
-        x = grid[peaks]
-        lo = grid[np.maximum(peaks - 1, 0)]
-        hi = grid[np.minimum(peaks + 1, _N_GRID - 1)]
+        x = [g[i] for i in peaks]
+        lo = [g[max(i - 1, 0)] for i in peaks]
+        hi = [g[min(i + 1, _N_GRID - 1)] for i in peaks]
         # Rows 3i, 3i + 1, 3i + 2: p_i and its two derivatives, zero-padded.
         width = coeffs.shape[1]
         stacked = np.zeros((3 * len(coeffs), width))
         stacked[0::3] = coeffs
         stacked[1::3, :-1] = coeffs[:, 1:] * np.arange(1, width)
         stacked[2::3, :-2] = stacked[1::3, 1:-1] * np.arange(1, width - 1)
-        active = np.arange(len(x))
+        active = list(range(len(x)))
         for _ in range(_MAX_STEPS):
-            if not active.size:
+            if not active:
                 break
-            xa = x[active]
-            slope, curve = _log_slopes(stacked, counts, xa)
-            la = lo[active] = np.where(slope > 0.0, xa, lo[active])
-            ha = hi[active] = np.where(slope < 0.0, xa, hi[active])
-            step = -slope / curve
-            newton = xa + step
-            done = ((slope == 0.0) | (ha - la <= _XATOL)
-                    | ((curve < 0.0) & (np.abs(step) <= _STEP_RTOL * np.abs(xa))))
-            use_newton = (curve < 0.0) & (newton > la) & (newton < ha)
-            x[active] = np.where(done, xa, np.where(use_newton, newton, 0.5 * (la + ha)))
-            active = active[~done]
+            slopes, curves = _log_slopes(stacked, counts, np.array([x[j] for j in active]))
+            still = []
+            for j, slope, curve in zip(active, slopes.tolist(), curves.tolist()):
+                xj = x[j]
+                la = lo[j] = xj if slope > 0.0 else lo[j]
+                ha = hi[j] = xj if slope < 0.0 else hi[j]
+                # Newton only where the curve bends down: a NaN step fails both tests.
+                step = -slope / curve if curve < 0.0 else math.nan
+                if slope == 0.0 or ha - la <= _XATOL or abs(step) <= _STEP_RTOL * abs(xj):
+                    continue
+                newton = xj + step
+                x[j] = newton if la < newton < ha else 0.5 * (la + ha)
+                still.append(j)
+            active = still
 
-    points = np.concatenate((grid[[best, 0, -1]], x))
+    points = np.array([g[best], g[0], g[-1], *x])
     exact = np.asarray(fn(points), dtype=float)
-    if np.isnan(vals[best]) or np.isnan(exact[:3]).any():   # argmax picks a NaN first
+    if math.isnan(v[best]) or np.isnan(exact[:3]).any():   # argmax picks a NaN first
         raise ValueError("objective returned NaN on the search grid")
     best = int(np.argmax(np.fmax(exact, -np.inf)))   # the first of the greatest, NaN as -inf
     return float(points[best]), float(exact[best])

@@ -4,16 +4,19 @@ the maximizer that summed its whole grid exactly (``oracle_maximize``).
 
 Every search of both runs returns its argmax and value; a pair of searches
 may differ only at a near-tie of exact values, within 1e-12 relative. Each
-test counts such ties and pins the count (none so far), and a case without
-a tie must give bit-identical results.
+test counts such ties and pins the count (none so far but one exact tie in
+``test_grid_step_underflows``), and a case without a tie must give
+bit-identical results.
 """
+
+import math
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
 import oracle_maximize
-from snpwoe import estimation, unknown_w
+from snpwoe import estimation, optimize, unknown_w
 from snpwoe.estimation import PairCountTable, estimate_w_mle, estimate_w_mle_per_marker
 from snpwoe.evidence import CaseData, MarkerObservation
 from snpwoe.genotypes import GenotypePriors, hwe_prior_array, hwe_priors
@@ -187,3 +190,94 @@ def test_bimodal_polynomial():
         new = maximize_on_interval(fn, lower, upper, coeffs, counts)
         assert repr(new) == repr(oracle_maximize.maximize_on_interval(fn, lower, upper,
                                                                       coeffs, counts))
+
+
+class TestScalarBookkeeping:
+    """Objectives that send each peak's bracket, step and stop test through
+    their rarer branches; every search must match the oracle bit for bit."""
+
+    @staticmethod
+    def active_sizes(monkeypatch, rows, counts, lower=0.0, upper=0.5):
+        """Checks the library's search against the oracle's and returns the
+        number of active peaks at each of its Newton steps, and each step's
+        points, slopes and curvatures. The objective is summed exactly at
+        each point, so that a point's value does not depend on the others in
+        its call, as ``CaseKernel.total``'s does not."""
+        _, coeffs, counts = log_lik(rows, counts)
+
+        def fn(w):
+            with np.errstate(divide="ignore"):
+                terms = counts[:, None] * np.log(P.polyval(np.asarray(w), coeffs.T))
+            return np.array([math.fsum(column) for column in terms.T])
+
+        steps = []
+        log_slopes = optimize._log_slopes
+
+        def recorded(stacked, n, w):
+            slope, curve = log_slopes(stacked, n, w)
+            steps.append((w.tolist(), slope.tolist(), curve.tolist()))
+            return slope, curve
+
+        monkeypatch.setattr(optimize, "_log_slopes", recorded)
+        new = maximize_on_interval(fn, lower, upper, coeffs, counts)
+        assert repr(new) == repr(oracle_maximize.maximize_on_interval(fn, lower, upper,
+                                                                      coeffs, counts))
+        return [len(w) for w, _, _ in steps], steps
+
+    def test_peaks_stop_one_at_a_time(self, monkeypatch):
+        """Three modes, near 0.1, 0.25 and 0.4, tilted by twelve small
+        linear rows: the active set shrinks from 3 peaks to 2 to 1."""
+        modes = P.polysub([1e-3], P.polymul(P.polymul(
+            P.polymul([-0.1, 1], [-0.1, 1]), P.polymul([-0.25, 1], [-0.25, 1])),
+            P.polymul([-0.4, 1], [-0.4, 1])))
+        shrinking = 0
+        for seed in range(40):
+            tilts = np.random.default_rng([2401, seed]).uniform(-0.004, 0.004, 12)
+            sizes, _ = self.active_sizes(monkeypatch, [modes] + [[1.0, t] for t in tilts],
+                                         [1.0] * 13)
+            shrinking += sizes[0] == 3 and 2 in sizes and sizes[-1] == 1
+        assert shrinking >= 10
+
+    @pytest.mark.parametrize("value", [1.0, 2.0, 0.5])
+    def test_constant_objective(self, monkeypatch, value):
+        """A slope of exactly 0 stops the only peak, the lower end, at once."""
+        sizes, steps = self.active_sizes(monkeypatch, [[value]], [3.0])
+        assert sizes == [1] and steps[0][1] == [0.0]
+
+    def test_zero_at_an_interior_grid_point(self, monkeypatch):
+        """``(w - 1/4)^2`` is 0 at the grid point 1/4: the grid is -inf there
+        and the points on either side of it become peaks."""
+        sizes, _ = self.active_sizes(monkeypatch, [[1 / 16, -0.5, 1.0], [1.0, 1.0]], [1.0, 3.0])
+        assert sizes[0] == 2
+
+    def test_bisection_onto_a_zero_of_a_row(self, monkeypatch):
+        """A narrow spike just right of the grid point 20/128, whose convex
+        shoulders make its first step a bisection, onto the midpoint where a
+        row of small weight has a simple zero: there the slope is -inf and
+        the curvature inf - inf, NaN."""
+        h = 1 / 128
+        spike, zero, gap = 20.125 * h, 20.5 * h, h / 16
+        rows = [[(h / 64) ** 2 + spike * spike, -2 * spike, 1.0],
+                [zero * (zero + gap), -(2 * zero + gap), 1.0]]
+        _, steps = self.active_sizes(monkeypatch, rows, [-1.0, 1e-3])
+        assert ([zero], [-np.inf]) == tuple(steps[1][:2]) and np.isnan(steps[1][2][0])
+
+    def test_grid_step_underflows(self, monkeypatch):
+        """An interval so narrow that its grid step rounds to 0, which
+        ``validate_profile_interval`` accepts: the grid is linspace's.
+
+        On the 20-marker H2 case H1's log-likelihood is the same float at
+        every point of [0, 1e-322]. The library returns the first of its
+        candidates, the grid maximum of its plain sum, 1e-322; the oracle
+        the first exactly summed grid point, 0.0. That one tie is exact, so
+        the WoE is the same."""
+        rng = np.random.default_rng(2402)
+        cases = [simulated(rng, m, 1e-4, True, hyp, w_t=0.05) for m in (1, 20) for hyp in (0, 1)]
+        ties = sum(compare(monkeypatch, lambda: woe_profile(case, 1e-4, 0.0, 1e-322),
+                           profile_fields) for case in cases)
+        assert ties == 1
+        woes = []
+        for maximize in (maximize_on_interval, oracle_maximize.maximize_on_interval):
+            monkeypatch.setattr(unknown_w, "maximize_on_interval", maximize)
+            woes.append([woe_profile(case, 1e-4, 0.0, 1e-322).woe for case in cases])
+        assert woes[0] == woes[1]
