@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -27,6 +28,7 @@ from .estimation import estimate_w_mle
 from .evidence import DegenerateCaseError, per_marker_log10_lr
 from .fileio import (
     ParseError,
+    fmt_float,
     load_study_config,
     parse_case_file,
     parse_pair_table_file,
@@ -60,6 +62,21 @@ class UsageError(Exception):
 
 def _human(x: float) -> str:
     return f"{float(x):.4f}"
+
+
+def _strict_json(value):
+    """``value`` with each non-finite float as its text (``-inf``, ``inf``),
+    as the CSV writer renders it and ``float()`` reads it back."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(item) for item in value]
+    return fmt_float(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _print_json(payload: dict) -> None:
+    """``payload`` as RFC 8259 JSON, which has no literal for a non-finite number."""
+    print(json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False))
 
 
 @cache
@@ -205,7 +222,7 @@ def cmd_woe(args) -> int:
                                           for i, lr in enumerate(lrs.tolist())]
 
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
         return EXIT_OK
     print(f"markers: {case.m}")
     print(f"method: {result.method}")
@@ -230,12 +247,12 @@ def cmd_estimate(args) -> int:
     table = parse_pair_table_file(args.table)
     est = estimate_w_mle(table)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "pairs": table.total,
             "w_hat": est.w,
             "log_likelihood": est.log_likelihood,
             "at_boundary": est.at_boundary,
-        }, indent=2, sort_keys=True))
+        })
         return EXIT_OK
     print(f"pairs: {table.total}")
     print(f"w_hat: {est.w:.6g}")
@@ -294,10 +311,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DegenerateCaseError, QuadratureError, StudyError, ValueError) as exc:

@@ -18,7 +18,7 @@ import numpy as np
 from .evidence import (
     CaseData,
     MarkerObservation,
-    _polyval_rows,
+    _log_rows,
     _row_total,
 )
 from .genotypes import (
@@ -39,12 +39,24 @@ __all__ = [
 # Relative gap below which an end point's log-likelihood counts as the
 # maximum: a few hundred rounding errors of the summed log terms.
 _FLAT = 1e-13
+# Largest pair count: the MLE weighs rows by float counts, which are exact
+# up to 2**53, and nine such counts still sum below 2**63.
+_MAX_PAIR_COUNT = 2 ** 53
+
+
+def _pair_count(n, a: int, b: int) -> int:
+    """``n`` as the count of pair ``(a, b)``: an integer in [0, 2**53]."""
+    n = validate_integer(n, f"pair count [{a}, {b}]", 0)
+    if n > _MAX_PAIR_COUNT:
+        raise ValueError(f"pair count [{a}, {b}] must be at most 2**53, got {n}")
+    return n
 
 
 @dataclass(frozen=True, eq=False)
 class PairCountTable:
     """3x3 table of duplicate-pair counts, ``counts[a, b]`` for observed
-    (first read, second read) dosages, under one shared genotype prior."""
+    (first read, second read) dosages, under one shared genotype prior.
+    Each count is an integer in [0, 2**53], and at least one is positive."""
 
     counts: np.ndarray
     priors: GenotypePriors
@@ -53,8 +65,7 @@ class PairCountTable:
         counts = np.asarray(self.counts)
         if counts.shape != (3, 3):
             raise ValueError(f"pair counts must be 3x3, got shape {counts.shape}")
-        counts = np.array([[validate_integer(n, f"pair count [{a}, {b}]", 0)
-                            for b, n in enumerate(row)]
+        counts = np.array([[_pair_count(n, a, b) for b, n in enumerate(row)]
                            for a, row in enumerate(counts.tolist())], dtype=np.int64)
         if int(counts.sum()) < 1:
             raise ValueError("pair count table must contain at least one pair")
@@ -105,14 +116,10 @@ def _maximize_rows(priors: np.ndarray, a: np.ndarray, b: np.ndarray,
         for j in range(3):
             quartic[:, i + j] += products[:, i, j]
 
-    def log_terms(w: np.ndarray, rows: slice) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(_polyval_rows(quartic[rows], w))
-
     seen: dict[float, float] = {}   # log_lik's value at each point it was given
 
     def log_lik(w: np.ndarray) -> np.ndarray:
-        values = _row_total(counts, log_terms, w)
+        values = _row_total(counts, lambda x, rows: _log_rows(quartic[rows], x, np.log), w)
         seen.update(zip(w.tolist(), values.tolist()))
         return values
 

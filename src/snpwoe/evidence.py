@@ -21,7 +21,10 @@ Row sums are exact, equal to ``math.fsum`` of the weighted terms, and are
 taken one block of rows at a time, so they depend on neither row nor marker
 order and no (rows x points) matrix is built. At points that all rows share
 (MC's draws), a block of rows is one matrix product, no row moving another.
-``joint_table_h1``/``h2`` are the direct contractions, kept as reference.
+Two direct contractions remain as the reference the tests compare the
+kernel against: ``joint_table_h1`` and ``trace_marginal``. ``joint_table_h2``
+is the outer product of two marginals, and ``joint_prob_h1``/``h2`` are one
+checked entry of a table.
 """
 
 from __future__ import annotations
@@ -305,11 +308,11 @@ def _row_total(counts: np.ndarray, term, w):
     return float(sums[0]) if w.ndim == 0 else sums.reshape(w.shape)
 
 
-def _log10_rows(coeffs: np.ndarray, w) -> np.ndarray:
-    """Per row, ``log10(coeffs @ (1, w, w**2))``, -inf where that is 0."""
+def _log_rows(coeffs: np.ndarray, w, log=np.log10) -> np.ndarray:
+    """Per row, ``log(coeffs @ (1, w, w**2, ...))``, -inf where that is 0."""
     p = _polyval_rows(coeffs, w)
     with np.errstate(divide="ignore"):
-        return np.log10(p, out=p)
+        return log(p, out=p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,11 +360,11 @@ class CaseKernel:
     def log10_h1(self, w, rows=slice(None)) -> np.ndarray:
         """Per-row log10 P(x_t | x_r, H1, w, w_r), conditional on the
         reference read; -inf at a hard exclusion."""
-        return _log10_rows(self.c_h1[rows], w)
+        return _log_rows(self.c_h1[rows], w)
 
     def log10_h2(self, w, rows=slice(None)) -> np.ndarray:
         """Per-row log10 P(x_t | x_r, H2, w, w_r), conditional on the reference read."""
-        return _log10_rows(self.c_t[rows], w)
+        return _log_rows(self.c_t[rows], w)
 
     def log10_lr(self, w, rows=slice(None)) -> np.ndarray:
         """Per-row log10 likelihood ratio, :meth:`log10_h1` less :meth:`log10_h2`."""
@@ -405,18 +408,8 @@ def joint_table_h1(priors: GenotypePriors, w_t, w_r) -> np.ndarray:
     table is ``sum_z p_z * T(w_t)[z, a] * T(w_r)[z, b]``. Either error
     probability may be an array; the broadcast shape becomes leading axes.
     """
-    p = priors.as_array()
-    tt = channel_matrix(w_t)
-    tr = channel_matrix(w_r)
-    return np.einsum("z,...za,...zb->...ab", p, tt, tr)
-
-
-def joint_table_h2(priors: GenotypePriors, w_t, w_r) -> np.ndarray:
-    """P(X_t = a, X_r = b | different donors): product of the two marginals."""
-    p = priors.as_array()
-    mt = np.einsum("z,...za->...a", p, channel_matrix(w_t))
-    mr = np.einsum("z,...zb->...b", p, channel_matrix(w_r))
-    return np.einsum("...a,...b->...ab", mt, mr)
+    return np.einsum("z,...za,...zb->...ab", priors.as_array(), channel_matrix(w_t),
+                     channel_matrix(w_r))
 
 
 def trace_marginal(priors: GenotypePriors, w) -> np.ndarray:
@@ -424,20 +417,23 @@ def trace_marginal(priors: GenotypePriors, w) -> np.ndarray:
     return np.einsum("z,...za->...a", priors.as_array(), channel_matrix(w))
 
 
+def joint_table_h2(priors: GenotypePriors, w_t, w_r) -> np.ndarray:
+    """P(X_t = a, X_r = b | different donors): product of the two marginals."""
+    return np.einsum("...a,...b->...ab", trace_marginal(priors, w_t), trace_marginal(priors, w_r))
+
+
+def _joint_prob(table, x_t, x_r, priors: GenotypePriors, w_t: float, w_r: float) -> float:
+    a, b = validate_dosage(x_t), validate_dosage(x_r)
+    w_t, w_r = validate_error_prob(w_t, "w_t"), validate_error_prob(w_r, "w_r")
+    return float(table(priors, w_t, w_r)[a, b])
+
+
 def joint_prob_h1(x_t, x_r, priors: GenotypePriors, w_t: float, w_r: float) -> float:
-    a = validate_dosage(x_t)
-    b = validate_dosage(x_r)
-    w_t = validate_error_prob(w_t, "w_t")
-    w_r = validate_error_prob(w_r, "w_r")
-    return float(joint_table_h1(priors, w_t, w_r)[a, b])
+    return _joint_prob(joint_table_h1, x_t, x_r, priors, w_t, w_r)
 
 
 def joint_prob_h2(x_t, x_r, priors: GenotypePriors, w_t: float, w_r: float) -> float:
-    a = validate_dosage(x_t)
-    b = validate_dosage(x_r)
-    w_t = validate_error_prob(w_t, "w_t")
-    w_r = validate_error_prob(w_r, "w_r")
-    return float(joint_table_h2(priors, w_t, w_r)[a, b])
+    return _joint_prob(joint_table_h2, x_t, x_r, priors, w_t, w_r)
 
 
 def lr(x_t, x_r, priors: GenotypePriors, w_t: float, w_r: float) -> float:

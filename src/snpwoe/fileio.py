@@ -19,7 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .estimation import PairCountTable
+from .estimation import PairCountTable, _pair_count
 from .evidence import CaseData
 from .genotypes import GenotypePriors, hwe_prior_array, hwe_priors, validate_allele_freq
 from .scaled_beta import ScaledBeta
@@ -241,7 +241,9 @@ def parse_pair_table_file(path) -> PairCountTable:
 
     Line 1 gives the priors: either ``q,<freq>`` or ``p,<p0>,<p1>,<p2>``.
     Line 2 is the column header ``,0,1,2``; lines 3-5 are the dosage-
-    labelled count rows for the first read, columns for the second.
+    labelled count rows for the first read, columns for the second. A
+    count is digits; :class:`PairCountTable`'s checks are reported at the
+    count's line, its check for at least one pair at the first count row.
     """
     rows = _read_rows(path)
     if len(rows) != 5:
@@ -259,18 +261,21 @@ def parse_pair_table_file(path) -> PairCountTable:
     line, header = rows[1]
     if header != ["", "0", "1", "2"]:
         _fail(path, line, f"second line must be ',0,1,2', got {','.join(header)!r}")
-    counts = np.zeros((3, 3), dtype=np.int64)
+    counts = [[0] * 3 for _ in range(3)]
     for a, (line, row) in enumerate(rows[2:]):
         if len(row) != 4 or row[0] != str(a):
             _fail(path, line, f"count row must start with dosage label {a}, got {','.join(row)!r}")
-        for b in range(3):
-            text = row[1 + b]
+        for b, text in enumerate(row[1:]):
             if not (text.isascii() and text.isdigit()):
                 _fail(path, line, f"count for pair ({a}, {b}) must be a nonnegative integer, got {text!r}")
-            counts[a, b] = int(text)
-    if counts.sum() < 1:
-        _fail(path, rows[2][0], "pair table must contain at least one pair")
-    return PairCountTable(counts, priors)
+            try:
+                counts[a][b] = _pair_count(int(text), a, b)
+            except ValueError as exc:   # over the table's limit, or too many digits for int()
+                _fail(path, line, str(exc))
+    try:
+        return PairCountTable(counts, priors)
+    except ValueError as exc:
+        _fail(path, rows[2][0], str(exc))
 
 
 _PRIOR_KEYS_MOMENTS = {"id", "mean", "variance"}

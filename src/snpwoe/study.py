@@ -191,6 +191,8 @@ class StudyRecord:
     def __post_init__(self) -> None:
         _one_of(self.hypothesis, "hypothesis", HYPOTHESES)
         _one_of(self.method, "method", STUDY_METHODS)
+        if math.isnan(self.woe):
+            raise ValueError("WoE must not be NaN")
 
     def cell(self) -> tuple:
         return (self.hypothesis, self.method, self.prior_id, self.m, self.q, self.w_t_true)

@@ -185,6 +185,21 @@ class TestWoeCommand:
         err = capsys.readouterr().err
         assert f"{bad}:2:" in err
 
+    def test_hard_exclusion_json_is_strict(self, tmp_path, capsys):
+        """RFC 8259 has no literal for -inf: it is written as the text ``-inf``,
+        which ``float()`` reads back; a finite value stays a number."""
+        p = tmp_path / "case.csv"
+        p.write_text("marker_id,x_t,x_r,q\nrs1,0,2,0.5\nrs2,1,1,0.5\n")
+        assert main(["woe", str(p), "--w-r", "0", "--w-t", "0", "--per-marker", "--json"]) == EXIT_OK
+
+        def no_constant(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert float(payload["woe"]) == -math.inf
+        assert [row["log10_lr"] for row in payload["per_marker_log10_lr"]] == [
+            "-inf", math.log10(2.0)]
+
     def test_degenerate_case_exits_4(self, tmp_path, capsys):
         p = tmp_path / "case.csv"
         p.write_text("marker_id,x_t,x_r,p0,p1,p2\nrs1,0,2,1.0,0.0,0.0\n")
@@ -329,6 +344,25 @@ class TestEstimateCommand:
         assert main(["estimate", str(p)]) == EXIT_DATA
         capsys.readouterr()
 
+    @pytest.mark.parametrize("count, a", [
+        ("99999999999999999999", 0), ("9223372036854775807", 1), ("9007199254740993", 2)])
+    def test_count_over_2_to_the_53_exits_3(self, tmp_path, capsys, count, a):
+        """A count on the diagonal over the table's limit, among others that
+        would wrap an int64 total: reported at its own line."""
+        rows = [["810", "9", "0"], ["10", "170", "2"], ["0", "3", "16"]]
+        rows[a][a] = count
+        p = tmp_path / "pairs.csv"
+        p.write_text("q,0.9\n,0,1,2\n" + "".join(f"{i},{','.join(row)}\n"
+                                                 for i, row in enumerate(rows)))
+        assert main(["estimate", str(p), "--json"]) == EXIT_DATA
+        assert capsys.readouterr().err == (f"error: {p}:{3 + a}: pair count [{a}, {a}] must be "
+                                           f"at most 2**53, got {count}\n")
+
+    def test_largest_counts_are_read_exactly(self, tmp_path, capsys):
+        p = tmp_path / "pairs.csv"
+        p.write_text(f"q,0.9\n,0,1,2\n0,{2**53},0,0\n1,0,{2**53},0\n2,0,0,{2**53}\n")
+        assert run_json(capsys, ["estimate", str(p), "--json"])["pairs"] == 3 * 2**53
+
 
 class TestSimulateAndEce:
     def run_simulate(self, tmp_path, capsys, extra=()):
@@ -450,6 +484,16 @@ class TestSimulateAndEce:
         out = tmp_path / "ece.csv"
         assert main(["ece", str(records), "--out", str(out)]) == EXIT_DATA
         assert "no H2" in capsys.readouterr().err
+
+    def test_ece_nan_woe_names_its_line(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_text("hypothesis,method,prior_id,m,q,w_t_true,replicate,woe,w_hat_h1,w_hat_h2\n"
+                           "H1,true-w,,6,0.75,0.001,0,2.0,,\n"
+                           "H2,true-w,,6,0.75,0.001,0,nan,,\n")
+        out = tmp_path / "ece.csv"
+        assert main(["ece", str(records), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {records}:3: WoE must not be NaN\n"
+        assert not out.exists()
 
     def test_ece_unknown_hypothesis_exits_3(self, tmp_path, capsys):
         # a lower-case "h1" row would otherwise be counted as H2

@@ -102,6 +102,17 @@ class TestPairCountTable:
         with pytest.raises(TypeError):
             PairCountTable(np.eye(3, dtype=int), (0.5, 0.3, 0.2))
 
+    def test_counts_up_to_2_to_the_53(self):
+        """Float counts are exact up to 2**53, and nine such counts sum below 2**63."""
+        t = PairCountTable([[2**53] * 3] * 3, PRIORS75)
+        assert t.total == 9 * 2**53
+        for over in ([[2**62] * 3] * 3, [[1, 0, 0], [0, 10**20, 0], [0, 0, 1]],
+                     [[1, 0, 0], [0, 1, 2**53 + 1], [0, 0, 1]]):
+            with pytest.raises(ValueError, match=r"pair count \[\d, \d\] must be at most 2\*\*53"):
+                PairCountTable(over, PRIORS75)
+        with pytest.raises(ValueError, match=r"pair count \[1, 1\] must be at most"):
+            PairCountTable([[1, 0, 0], [0, float(2**60), 0], [0, 0, 1]], PRIORS75)
+
     def test_counts_read_only(self):
         t = PairCountTable(np.eye(3, dtype=int), PRIORS75)
         with pytest.raises(ValueError):

@@ -9,8 +9,6 @@ test counts such ties and pins the count (none so far but one exact tie in
 bit-identical results.
 """
 
-import math
-
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -200,16 +198,10 @@ class TestScalarBookkeeping:
     def active_sizes(monkeypatch, rows, counts, lower=0.0, upper=0.5):
         """Checks the library's search against the oracle's and returns the
         number of active peaks at each of its Newton steps, and each step's
-        points, slopes and curvatures. The objective is summed exactly at
-        each point, so that a point's value does not depend on the others in
-        its call, as ``CaseKernel.total``'s does not."""
-        _, coeffs, counts = log_lik(rows, counts)
-
-        def fn(w):
-            with np.errstate(divide="ignore"):
-                terms = counts[:, None] * np.log(P.polyval(np.asarray(w), coeffs.T))
-            return np.array([math.fsum(column) for column in terms.T])
-
+        points, slopes and curvatures. ``log_lik`` sums the objective exactly
+        at each point, so that a point's value does not depend on the others
+        in its call, as ``CaseKernel.total``'s does not."""
+        fn, coeffs, counts = log_lik(rows, counts)
         steps = []
         log_slopes = optimize._log_slopes
 

@@ -12,7 +12,9 @@ from snpwoe.optimize import maximize_on_interval
 
 def log_lik(coeffs, counts):
     """``w -> sum_i counts[i] * log p_i(w)``, counting its calls, and the
-    coefficients padded to one common degree of at least 2."""
+    coefficients padded to one common degree of at least 2. Each point's
+    terms are summed exactly, so its value does not depend on the other
+    points in the call."""
     degree = max(2, max(len(c) for c in coeffs) - 1)
     coeffs = np.array([np.pad(np.asarray(c, dtype=float), (0, degree + 1 - len(c)))
                        for c in coeffs])
@@ -21,7 +23,8 @@ def log_lik(coeffs, counts):
     def fn(w):
         fn.calls += 1
         with np.errstate(divide="ignore"):
-            return counts @ np.log(P.polyval(w, coeffs.T))
+            terms = counts[:, None] * np.log(P.polyval(w, coeffs.T))
+        return np.array([math.fsum(column) for column in terms.T.tolist()])
 
     fn.calls = 0
     return fn, coeffs, counts

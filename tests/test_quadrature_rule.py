@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from mpmath_reference import PriorReference
-from snpwoe.evidence import CaseData, _log10_rows
+from snpwoe.evidence import CaseData, _log_rows
 from snpwoe.genotypes import hwe_prior_array, hwe_priors
 from snpwoe.scaled_beta import ScaledBeta
 from snpwoe.unknown_w import (
@@ -88,7 +88,7 @@ def log10_term(coeffs):
     """The per-row term ``log10(coeffs[rows] @ (1, w, w**2))``, with a zero
     rounding bound: its reported error gets no input-rounding floor."""
     def term(w, rows):
-        values = _log10_rows(coeffs[rows], w)
+        values = _log_rows(coeffs[rows], w)
         return values, np.zeros_like(values)
     return term
 

@@ -329,6 +329,11 @@ class TestEce:
         with pytest.raises(ValueError, match="method must be one of"):
             record("H1", 2.0, method="known")
 
+    def test_record_woe_is_not_nan(self):
+        with pytest.raises(ValueError, match="WoE must not be NaN"):
+            record("H1", math.nan)
+        assert record("H2", -math.inf).woe == -math.inf
+
     def test_monomorphic_cell_has_exact_zeros_and_counts_them_wrong(self):
         # q = 1 puts every marker on dosage 0, so every likelihood ratio is 1
         cfg = StudyConfig(q_values=(1.0,), w_t_values=(1e-2,), w_r=1e-4,
