@@ -26,6 +26,7 @@ from .genotypes import (
     GenotypePriors,
     validate_error_prob,
     validate_integer,
+    validate_priors,
 )
 from .optimize import W_SEARCH_MAX, maximize_on_interval
 
@@ -45,10 +46,12 @@ _MAX_PAIR_COUNT = 2 ** 53
 
 
 def _pair_count(n, a: int, b: int) -> int:
-    """``n`` as the count of pair ``(a, b)``: an integer in [0, 2**53]."""
+    """``n`` as the count of pair ``(a, b)``: an integer in [0, 2**53]. A
+    count past 20 digits, which Python may refuse to print, is not shown."""
     n = validate_integer(n, f"pair count [{a}, {b}]", 0)
     if n > _MAX_PAIR_COUNT:
-        raise ValueError(f"pair count [{a}, {b}] must be at most 2**53, got {n}")
+        shown = n if n < 10**20 else "a count of more than 20 digits"
+        raise ValueError(f"pair count [{a}, {b}] must be at most 2**53, got {shown}")
     return n
 
 
@@ -69,8 +72,7 @@ class PairCountTable:
                            for a, row in enumerate(counts.tolist())], dtype=np.int64)
         if int(counts.sum()) < 1:
             raise ValueError("pair count table must contain at least one pair")
-        if not isinstance(self.priors, GenotypePriors):
-            raise TypeError(f"priors must be GenotypePriors, got {type(self.priors).__name__}")
+        validate_priors(self.priors)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 

@@ -19,8 +19,8 @@ method costs O(distinct rows) per ``w``: at most 9 when all markers share a
 prior, m when each has its own allele frequency. Rows are sorted by value.
 Row sums are exact, equal to ``math.fsum`` of the weighted terms, and are
 taken one block of rows at a time, so they depend on neither row nor marker
-order and no (rows x points) matrix is built. At points that all rows share
-(MC's draws), a block of rows is one matrix product, no row moving another.
+order and no (rows x points) matrix is built. MC's draws and quadrature's
+nodes and panels share one LR evaluator, a matrix product per block of rows.
 Two direct contractions remain as the reference the tests compare the
 kernel against: ``joint_table_h1`` and ``trace_marginal``. ``joint_table_h2``
 is the outer product of two marginals, and ``joint_prob_h1``/``h2`` are one
@@ -44,6 +44,7 @@ from .genotypes import (
     prior_array,
     validate_dosage,
     validate_error_prob,
+    validate_priors,
 )
 
 __all__ = [
@@ -80,8 +81,7 @@ class MarkerObservation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_t", validate_dosage(self.x_t))
         object.__setattr__(self, "x_r", validate_dosage(self.x_r))
-        if not isinstance(self.priors, GenotypePriors):
-            raise TypeError(f"priors must be GenotypePriors, got {type(self.priors).__name__}")
+        validate_priors(self.priors)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -372,26 +372,20 @@ class CaseKernel:
         lr -= self.log10_h2(w, rows)
         return lr
 
-    def log10_ratio(self, powers: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
+    def log10_ratio(self, powers: np.ndarray, rows, out: np.ndarray, at=None) -> np.ndarray:
         """Per-row ``log10(p_h1 / p_h2)`` at n points in [1e-120, 1/2) shared by
-        the rows, whose powers ``(1, w, w**2)`` are the (3, n) ``powers``; in the
-        first k of 2k or more rows of ``out``. The rows' ``c_h1`` over their ``c_t``
-        make one gemm of 2 rows or more (numpy sends 1 row to gemv, which rounds
-        otherwise), so no value depends on other rows or on BLAS threads. Channel
-        entries are at least ``w**2`` for w < 1/2, so the ratio of probabilities
-        in [1e-240, 1] needs no guard; ``c_h1 == c_t`` gives exactly 1."""
+        the rows, whose powers ``(1, w, w**2)`` are the (3, n) ``powers``, in the
+        first k of 2k or more rows of ``out``; or at ``at``, flat indices of
+        those k x n, only there. The rows' ``c_h1`` over their ``c_t`` make one
+        gemm of 2 rows or more (numpy sends 1 row to gemv, which rounds
+        otherwise), so no value depends on other rows, points or BLAS threads;
+        MC and quad take every LR value here. Channel entries are at least
+        ``w**2`` for w < 1/2, so a ratio in [1e-240, 1] needs no guard."""
         coeffs = np.concatenate((self.c_h1[rows], self.c_t[rows]))
         k = len(coeffs) // 2
         p = np.matmul(coeffs, powers, out=out[:2 * k])
-        ratio = np.divide(p[:k], p[k:], out=p[:k])
-        return np.log10(ratio, out=ratio)
-
-    def log10_lr_err(self, w, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`log10_lr` and its rounding bound in eps, ``1 + |log10 h1| + |log10 h2|``."""
-        h1, h2 = self.log10_h1(w, rows), self.log10_h2(w, rows)
-        lr = h1 - h2
-        np.add(np.abs(h1, out=h1), np.abs(h2, out=h2), out=h1)
-        return lr, np.add(h1, 1.0, out=h1)
+        h1, h2 = (p[:k], p[k:]) if at is None else (p.take(at), p.take(at + p[:k].size))
+        return np.log10(np.divide(h1, h2, out=h1), out=h1)
 
     def total(self, term, w):
         """Sum over markers of ``term(w, rows)``, per-row terms such as
@@ -408,13 +402,13 @@ def joint_table_h1(priors: GenotypePriors, w_t, w_r) -> np.ndarray:
     table is ``sum_z p_z * T(w_t)[z, a] * T(w_r)[z, b]``. Either error
     probability may be an array; the broadcast shape becomes leading axes.
     """
-    return np.einsum("z,...za,...zb->...ab", priors.as_array(), channel_matrix(w_t),
-                     channel_matrix(w_r))
+    return np.einsum("z,...za,...zb->...ab", validate_priors(priors).as_array(),
+                     channel_matrix(w_t), channel_matrix(w_r))
 
 
 def trace_marginal(priors: GenotypePriors, w) -> np.ndarray:
     """Marginal distribution of one observed dosage, ``p @ T(w)``."""
-    return np.einsum("z,...za->...a", priors.as_array(), channel_matrix(w))
+    return np.einsum("z,...za->...a", validate_priors(priors).as_array(), channel_matrix(w))
 
 
 def joint_table_h2(priors: GenotypePriors, w_t, w_r) -> np.ndarray:

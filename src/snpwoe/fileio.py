@@ -268,9 +268,9 @@ def parse_pair_table_file(path) -> PairCountTable:
         for b, text in enumerate(row[1:]):
             if not (text.isascii() and text.isdigit()):
                 _fail(path, line, f"count for pair ({a}, {b}) must be a nonnegative integer, got {text!r}")
-            try:
-                counts[a][b] = _pair_count(int(text), a, b)
-            except ValueError as exc:   # over the table's limit, or too many digits for int()
+            try:   # leading zeros do not count, and 21 digits are already past the limit
+                counts[a][b] = _pair_count(int(text.lstrip("0")[:21] or "0"), a, b)
+            except ValueError as exc:
                 _fail(path, line, str(exc))
     try:
         return PairCountTable(counts, priors)

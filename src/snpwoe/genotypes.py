@@ -49,6 +49,13 @@ class GenotypePriors:
         return np.array([self.p0, self.p1, self.p2])
 
 
+def validate_priors(priors) -> GenotypePriors:
+    """``priors``, checked to be :class:`GenotypePriors` (not a tuple of masses)."""
+    if not isinstance(priors, GenotypePriors):
+        raise TypeError(f"priors must be GenotypePriors, got {type(priors).__name__}")
+    return priors
+
+
 def hwe_prior_array(q) -> np.ndarray:
     """Hardy-Weinberg genotype priors of allele frequencies ``q`` (unchecked),
     as an array of shape ``np.shape(q) + (3,)`` over dosages (0, 1, 2)."""

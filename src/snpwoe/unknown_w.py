@@ -228,20 +228,22 @@ _QUAD_BLOCK = 128
 # centre and half-width. ``quad`` takes a prefix, so a call pays no setup.
 _BLOCK_PANELS = (np.repeat(np.arange(_QUAD_BLOCK), len(_PANEL_HALF)),
                  np.tile(_PANEL_CENTRE, _QUAD_BLOCK), np.tile(_PANEL_HALF, _QUAD_BLOCK))
-_EPS = np.finfo(float).eps
-_ROUNDOFF = 50.0 * _EPS
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+# An LR value's rounding: p_h1 and p_h2 are each within 2 eps * sum |c_j w**j|
+# <= 18 eps * p (w < 1/2); with the division, (36 + 1/2) eps / ln 10 < 16 eps.
+_LR_ROUNDING = 16.0 * np.finfo(float).eps
 
 
-def _node_quantiles(prior: ScaledBeta) -> np.ndarray:
-    """The prior's quantiles at the quadrature nodes, floored at ``_W_FLOOR``;
-    computed on first use and kept read-only on this prior instance, as
-    ``CaseData.kernel`` keeps its kernels on the case."""
-    w = prior.__dict__.get("_node_quantiles")
-    if w is None:
+def _node_powers(prior: ScaledBeta) -> np.ndarray:
+    """The powers ``(1, w, w**2)`` of the prior's quantiles at the nodes,
+    floored at ``_W_FLOOR``; computed on first use and kept read-only on this
+    prior instance, as ``CaseData.kernel`` keeps its kernels on the case."""
+    powers = prior.__dict__.get("_node_powers")
+    if powers is None:
         w = np.maximum(prior.quantile(_QUAD_NODES), _W_FLOOR)
-        w.flags.writeable = False
-        prior.__dict__["_node_quantiles"] = w
-    return w
+        powers = prior.__dict__["_node_powers"] = np.stack((np.ones_like(w), w, w * w))
+        powers.flags.writeable = False
+    return powers
 
 
 # A flagged row's panels are bisected at most this many times over, and a
@@ -251,12 +253,10 @@ _QUAD_LEVELS = 16
 _QUAD_LIMIT = 512
 
 
-def _gk21(f: np.ndarray, scale: np.ndarray, half: np.ndarray):
-    """Per panel, from the integrand and its rounding scale at its 21 nodes
-    (one panel a line) and its half-width: the K21 value, ``|K21 - G10|``
-    and the K21 integrals of ``|f|`` and of the scale."""
-    return (half * (f @ _WK21), half * np.abs(f @ (_WK21 - _WG21)), half * (np.abs(f) @ _WK21),
-            half * (scale @ _WK21))
+def _gk21(f: np.ndarray, half: np.ndarray):
+    """Per panel, from the integrand at its 21 nodes (one panel a line) and
+    its half-width: the K21 value, ``|K21 - G10|`` and the K21 integral of ``|f|``."""
+    return half * (f @ _WK21), half * np.abs(f @ (_WK21 - _WG21)), half * (np.abs(f) @ _WK21)
 
 
 def quad(f, f0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -264,28 +264,25 @@ def quad(f, f0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     composite rule and adaptive bisection of its panels, and the number of
     rows whose first estimate exceeded ``tol / 2``.
 
-    ``f(v, rows)`` gives the integrand and a bound on its rounding in units
-    of eps at CDF points ``v`` of shape (panels, 21), line ``i`` of ``v``
-    belonging to row ``rows[i]``; ``f0``, at most ``_QUAD_BLOCK`` rows,
-    holds both at the composite rule's nodes. A row's value is the sum of
-    its panels' K21 values, and its error estimate the sum of their
-    ``|K21 - G10|``, floored at eps times the integral of the bound and at
-    QUADPACK's round-off level ``_ROUNDOFF`` times the integral of ``|f|``.
-    Level 0 is the rule's 47 panels. Each level bisects, in every row whose
-    estimate exceeds ``tol / 2``, the panels whose ``|K21 - G10|`` exceeds
-    both the row's even share of ``tol / 2`` and the panel's own round-off
-    level, all rows at once with one call of ``f``: QUADPACK's qag
-    (Piessens et al. 1983), split level by level and vectorized over rows
-    and panels as scipy's ``quad_vec`` is over panels. It stops when no
-    row is over ``tol / 2`` or no panel is split, or after ``_QUAD_LEVELS``
-    levels, and stops splitting a row once it has ``_QUAD_LIMIT`` panels.
+    ``f(v, rows)`` is the integrand at CDF points ``v`` of shape (panels,
+    21), line ``i`` in row ``rows[i]``; ``f0`` holds it at the rule's nodes
+    for at most ``_QUAD_BLOCK`` rows. A row's value sums its panels' K21
+    values; its error sums their ``|K21 - G10|``, floored at the integrand's
+    rounding ``_LR_ROUNDING`` plus ``_ROUNDOFF`` times the integral of ``|f|``.
+    Level 0 is the rule's 47 panels. Each level bisects, in the rows over
+    ``tol / 2``, the panels whose ``|K21 - G10|`` exceeds both the row's
+    even share of ``tol / 2`` and the panel's own round-off level, with one
+    call of ``f``: QUADPACK's qag (Piessens et al. 1983), level by level and
+    vectorized over rows and panels as scipy's ``quad_vec`` is over panels.
+    It stops when no row is over ``tol / 2`` or no panel splits, or after
+    ``_QUAD_LEVELS`` levels, and stops splitting a row at ``_QUAD_LIMIT`` panels.
     """
-    n = len(f0[0])
+    n = len(f0)
     row, centre, half = (a[:n * len(_PANEL_HALF)] for a in _BLOCK_PANELS)
-    value, gap, size, rounding = _gk21(*(a.reshape(-1, 21) for a in f0), half)
+    value, gap, size = _gk21(f0.reshape(-1, 21), half)
     for level in range(_QUAD_LEVELS + 1):
-        error = np.maximum(np.bincount(row, gap, n), _ROUNDOFF * np.bincount(row, size, n))
-        error = np.maximum(error, _EPS * np.bincount(row, rounding, n))
+        error = np.maximum(np.bincount(row, gap, n),
+                           _LR_ROUNDING + _ROUNDOFF * np.bincount(row, size, n))
         panels = np.bincount(row, minlength=n)
         open_rows = (error > 0.5 * tol) & (panels < _QUAD_LIMIT)
         if level == 0:
@@ -302,24 +299,34 @@ def quad(f, f0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
         new_half = np.tile(quarter, 2)
         new_row = np.tile(row[split], 2)
         v = np.clip(new_centre[:, None] + new_half[:, None] * _X21, *_OPEN)
-        parts = _gk21(*f(v, new_row), new_half)
-        row, centre, half, value, gap, size, rounding = (
+        parts = _gk21(f(v, new_row), new_half)
+        row, centre, half, value, gap, size = (
             np.concatenate((old[keep], new)) for old, new in
-            zip((row, centre, half, value, gap, size, rounding),
-                (new_row, new_centre, new_half, *parts)))
+            zip((row, centre, half, value, gap, size), (new_row, new_centre, new_half, *parts)))
     return np.bincount(row, value, n), error, flagged
 
 
-def _integrand(term, prior: ScaledBeta, start: int):
-    """``quad``'s integrand for the block of rows from ``start``: the per-row
-    ``term(w, rows)``, such as ``CaseKernel.log10_lr_err``, at ``w`` the prior's
-    quantiles floored at ``_W_FLOOR``. One ``prior.quantile`` call per
-    evaluation, on the distinct points only, since the rows mostly split the
-    same panels."""
-    def f(v: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        points, where = np.unique(v.ravel(), return_inverse=True)
-        w = np.maximum(prior.quantile(points), _W_FLOOR)[where.reshape(v.shape)]
-        return term(w, rows + start)
+def _integrand(kernel: CaseKernel, prior: ScaledBeta, start: int, out: np.ndarray):
+    """``quad``'s integrand for the block of kernel rows from ``start``: the
+    rows' :meth:`~snpwoe.evidence.CaseKernel.log10_ratio` at the prior's
+    quantiles of the distinct points, one product of the open rows taken in
+    pieces of at most ``out.size`` entries (level 0's block), each panel's
+    entries divided and logged: a point has the same bits as at level 0."""
+    def f(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        points, column = np.unique(v, return_inverse=True)
+        w = np.maximum(prior.quantile(points), _W_FLOOR)
+        powers = np.stack((np.ones_like(w), w, w * w))
+        rows, slot = np.unique(rows + start, return_inverse=True)   # the open rows
+        slot, column, k, n = np.repeat(slot, 21), column.ravel(), len(rows), len(w)
+        pieces = -(-n // (out.size // (2 * k)))
+        cuts = np.arange(pieces + 1) * n // pieces     # no piece of 1 point, which gemv takes
+        values = np.empty(v.shape)
+        for a, b in zip(cuts, cuts[1:]):
+            inside = (column >= a) & (column < b)
+            piece = out.reshape(-1)[:2 * k * (b - a)].reshape(-1, b - a)
+            values.reshape(-1)[inside] = kernel.log10_ratio(
+                powers[:, a:b], rows, piece, slot[inside] * (b - a) + column[inside] - a)
+        return values
     return f
 
 
@@ -335,9 +342,7 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
 
     The kernel's rows are integrated by :func:`quad`, ``_QUAD_BLOCK`` rows
     at a time: a composite Gauss-Kronrod 10/21 rule whose panels are
-    bisected in the rows whose error estimate exceeds ``tol / 2``. The
-    prior's quantiles at the rule's nodes are computed once per
-    ``ScaledBeta`` instance, on its first use here, and kept on it.
+    bisected in the rows whose error estimate exceeds ``tol / 2``.
     ``QuadratureError`` is raised when a row still misses ``tol``. The
     result reports the largest per-row error estimate and the number of
     row integrals refined.
@@ -345,14 +350,15 @@ def woe_integrate_quad(case: CaseData, prior: ScaledBeta, w_r: float,
     w_r = validate_error_prob(w_r, "w_r")
     tol = validate_positive(tol, "tol")
     kernel = _supported_kernel(case, None, w_r)
-    w = _node_quantiles(prior)
+    powers = _node_powers(prior)
     m = len(kernel.counts)
+    out = np.empty((2 * min(m, _QUAD_BLOCK), powers.shape[1]))
     values, errors = np.empty(m), np.empty(m)
     refined = 0
     for start in range(0, m, _QUAD_BLOCK):
         block = slice(start, start + _QUAD_BLOCK)
         values[block], errors[block], flagged = quad(
-            _integrand(kernel.log10_lr_err, prior, start), kernel.log10_lr_err(w, block), tol)
+            _integrand(kernel, prior, start, out), kernel.log10_ratio(powers, block, out), tol)
         refined += flagged
     bad = np.flatnonzero(errors > tol)
     if bad.size:

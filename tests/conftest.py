@@ -46,6 +46,22 @@ def markers(case: CaseData) -> list[tuple[int, int, GenotypePriors]]:
             zip(case.x_t.tolist(), case.x_r.tolist(), case.priors.tolist())]
 
 
+def digests_under_blas_threads(module: str) -> dict[str, str]:
+    """What ``module.digests()`` prints in fresh interpreters with one and
+    with two OpenBLAS threads, keyed by the thread count."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, (str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH"))))
+    seen = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", f"import {module} as t; print(t.digests())"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        seen[threads] = proc.stdout.strip()
+    return seen
+
+
 def table_frequencies(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Empirical 3x3 pair frequencies from two dosage vectors."""
     counts = np.zeros((3, 3))

@@ -358,6 +358,23 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == (f"error: {p}:{3 + a}: pair count [{a}, {a}] must be "
                                            f"at most 2**53, got {count}\n")
 
+    def test_count_of_5000_digits_exits_3_at_its_line(self, tmp_path, capsys):
+        """A count too long for Python to convert is over the table's limit,
+        reported at its line like any other."""
+        p = tmp_path / "pairs.csv"
+        p.write_text(f"q,0.9\n,0,1,2\n0,810,9,0\n1,10,{'9' * 5000},2\n2,0,3,16\n")
+        assert main(["estimate", str(p), "--json"]) == EXIT_DATA
+        assert capsys.readouterr().err == (f"error: {p}:4: pair count [1, 1] must be at most "
+                                           f"2**53, got a count of more than 20 digits\n")
+
+    def test_leading_zeros_do_not_count(self, tmp_path, capsys):
+        """``1`` after 5,000 zeros is the count 1."""
+        padded, plain = tmp_path / "padded.csv", tmp_path / "plain.csv"
+        padded.write_text(f"q,0.9\n,0,1,2\n0,810,9,0\n1,10,170,{'0' * 5000}1\n2,0,3,16\n")
+        plain.write_text("q,0.9\n,0,1,2\n0,810,9,0\n1,10,170,1\n2,0,3,16\n")
+        assert (run_json(capsys, ["estimate", str(padded), "--json"])
+                == run_json(capsys, ["estimate", str(plain), "--json"]))
+
     def test_largest_counts_are_read_exactly(self, tmp_path, capsys):
         p = tmp_path / "pairs.csv"
         p.write_text(f"q,0.9\n,0,1,2\n0,{2**53},0,0\n1,0,{2**53},0\n2,0,0,{2**53}\n")

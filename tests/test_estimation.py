@@ -113,6 +113,14 @@ class TestPairCountTable:
         with pytest.raises(ValueError, match=r"pair count \[1, 1\] must be at most"):
             PairCountTable([[1, 0, 0], [0, float(2**60), 0], [0, 0, 1]], PRIORS75)
 
+    def test_count_too_long_to_print_is_named_by_its_length(self):
+        """A count past Python's 4300-digit limit for printing ints fails the
+        table's rule, not the interpreter's."""
+        for n in (10**20, 10**5000):
+            with pytest.raises(ValueError, match=r"^pair count \[0, 2\] must be at most 2\*\*53, "
+                                                 r"got a count of more than 20 digits$"):
+                PairCountTable([[1, 0, n], [0, 1, 0], [0, 0, 1]], PRIORS75)
+
     def test_counts_read_only(self):
         t = PairCountTable(np.eye(3, dtype=int), PRIORS75)
         with pytest.raises(ValueError):

@@ -168,6 +168,20 @@ class TestJointProbs:
         assert math.isclose(m1, m2, rel_tol=0, abs_tol=1e-14)
         assert math.isclose(m1, trace_marginal(priors, w_t)[a], abs_tol=1e-14)
 
+    def test_every_table_and_lookup_rejects_bare_masses(self):
+        """A tuple of masses is not priors: every table, lookup and record
+        says so in one message."""
+        from snpwoe.estimation import PairCountTable
+
+        masses = (0.5, 0.3, 0.2)
+        calls = [lambda: joint_table_h1(masses, 0.0, 0.0), lambda: joint_table_h2(masses, 0.0, 0.0),
+                 lambda: trace_marginal(masses, 0.0), lambda: joint_prob_h1(0, 0, masses, 0.0, 0.0),
+                 lambda: joint_prob_h2(0, 0, masses, 0.0, 0.0), lambda: lr(0, 0, masses, 0.0, 0.0),
+                 lambda: MarkerObservation(0, 0, masses), lambda: PairCountTable(np.eye(3), masses)]
+        for call in calls:
+            with pytest.raises(TypeError, match=r"^priors must be GenotypePriors, got tuple$"):
+                call()
+
 
 class TestLr:
     def test_match_is_reciprocal_prior(self):

@@ -12,15 +12,12 @@ under any block size of the sums and any number of BLAS threads.
 
 import hashlib
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle_mc
+from conftest import digests_under_blas_threads
 from snpwoe import unknown_w
 from snpwoe.evidence import CaseData
 from snpwoe.genotypes import hwe_prior_array
@@ -145,15 +142,5 @@ def test_row_terms_do_not_depend_on_their_block(monkeypatch):
 def test_row_terms_do_not_depend_on_blas_threads():
     """The same terms and sums in fresh interpreters with one and two
     OpenBLAS threads, and in this one."""
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, (str(here.parent / "src"), str(here),
-                                         os.environ.get("PYTHONPATH"))))
-    seen = {}
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-c", "import test_mc_oracle as t; "
-                               "print(t.digests())"], capture_output=True, text=True, env=env,
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        seen[threads] = proc.stdout.strip()
+    seen = digests_under_blas_threads("test_mc_oracle")
     assert seen["1"] == seen["2"] == digests()

@@ -10,12 +10,15 @@ near-point-mass priors of acceptance criterion 8. The reference takes
 about 3 s per prior and is kept per prior for the module.
 """
 
+import dataclasses
 import functools
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from conftest import digests_under_blas_threads
 from mpmath_reference import PriorReference
 from snpwoe.evidence import CaseData, _log_rows
 from snpwoe.genotypes import hwe_prior_array, hwe_priors
@@ -28,8 +31,9 @@ from snpwoe.unknown_w import (
     _WGK,
     _WK21,
     _XGK,
+    _W_FLOOR,
     _integrand,
-    _node_quantiles,
+    _node_powers,
     quad,
     woe_integrate_quad,
 )
@@ -44,9 +48,9 @@ TOL = 1e-10
 PRIORS = ([(ScaledBeta.from_moments(mu, var), 0.0) for mu, var, *_ in PRIOR_TABLE]
           + [(ScaledBeta(1.0, 1.0), 0.0), (ScaledBeta(0.5, 0.5), 0.0)]
           + [(ScaledBeta.from_moments(w0, w0 * w0 * 1e-8), 2e-13) for w0 in (1e-4, 1e-3, 1e-2)])
-# An LR row's integrand is the difference of two rounded log10 values; its
-# reported error covers that rounding, eps * (1 + |log10 h1| + |log10 h2|)
-# integrated, so it gets no allowance on top.
+# An LR row's integrand is one rounded log10 of a ratio of two rounded
+# products; its reported error covers that rounding, a constant number of
+# eps, so it gets no allowance on top.
 GENOTYPE_PRIORS = [hwe_priors(q) for q in (0.05, 0.5, 0.9, 1.0 - 1e-7)] + list(ZERO_PRIORS)
 W_R = (0.0, 1e-5, 1e-4)
 
@@ -72,30 +76,38 @@ def reference(prior):
     return PriorReference(prior)
 
 
-def refine(term, k, prior, tol):
-    """``quad`` on the ``k`` rows of the per-row ``term(w, rows)`` (values
-    and rounding bound), a block at a time as ``integrate-quad`` takes
-    them: values, error estimates and the number of rows over ``tol / 2``
-    at level 0; ``tol = inf`` stops at level 0, the composite rule itself."""
-    w = _node_quantiles(prior)
-    blocks = [quad(_integrand(term, prior, start), term(w, slice(start, start + _QUAD_BLOCK)), tol)
-              for start in range(0, k, _QUAD_BLOCK)]
-    values, errors, flagged = zip(*blocks)
+def refine(blocks, k, tol):
+    """``quad`` on ``k`` rows a block at a time as ``integrate-quad`` takes
+    them, ``blocks(start)`` giving a block's integrand and its values at the
+    rule's nodes: values, error estimates and the number of rows over
+    ``tol / 2`` at level 0; ``tol = inf`` stops at level 0, the composite
+    rule itself."""
+    values, errors, flagged = zip(*(quad(*blocks(start), tol) for start in range(0, k, _QUAD_BLOCK)))
     return np.concatenate(values), np.concatenate(errors), sum(flagged)
 
 
-def log10_term(coeffs):
-    """The per-row term ``log10(coeffs[rows] @ (1, w, w**2))``, with a zero
-    rounding bound: its reported error gets no input-rounding floor."""
-    def term(w, rows):
-        values = _log_rows(coeffs[rows], w)
-        return values, np.zeros_like(values)
-    return term
+def log10_blocks(coeffs, prior):
+    """The blocks of the per-row ``log10(coeffs[rows] @ (1, w, w**2))``."""
+    def block(start):
+        def f(v, rows):
+            return _log_rows(coeffs[rows + start], np.maximum(prior.quantile(v), _W_FLOOR))
+        return f, _log_rows(coeffs[start:start + _QUAD_BLOCK], _node_powers(prior)[1])
+    return block
+
+
+def lr_blocks(kernel, prior):
+    """The blocks of the kernel's log10 LR rows, evaluated as
+    ``integrate-quad`` evaluates them."""
+    powers = _node_powers(prior)
+    out = np.empty((2 * _QUAD_BLOCK, powers.shape[1]))
+    return lambda start: (_integrand(kernel, prior, start, out),
+                          kernel.log10_ratio(powers, slice(start, start + _QUAD_BLOCK), out))
 
 
 def row_terms(kernel, ref, input_error):
-    """(term, reference integrals, input errors) for the kernel's H1 and H2
-    rows, one integral per row, and for its log10 LR rows."""
+    """(blocks of chosen rows under a prior, reference integrals, input
+    errors) for the kernel's H1 and H2 rows, one integral per row, and for
+    its log10 LR rows."""
     rows = np.concatenate((kernel.c_h1, kernel.c_t))
     pairs = zip(kernel.c_h1.tolist(), kernel.c_t.tolist())
     refs = [ref.mean_log10(row) for row in rows.tolist()], [ref.mean_log10_lr(*p) for p in pairs]
@@ -103,14 +115,19 @@ def row_terms(kernel, ref, input_error):
     for values in refs:
         assert max(error for _, error in values) <= 1e-11
         want.append(np.array([value for value, _ in values]))
-    return ((log10_term(rows), want[0], np.full(len(rows), input_error)),
-            (kernel.log10_lr_err, want[1], np.full(len(kernel.c_h1), input_error)))
+
+    def lr(chosen, prior):
+        return lr_blocks(dataclasses.replace(kernel, c_h1=kernel.c_h1[chosen],
+                                             c_t=kernel.c_t[chosen]), prior)
+    return ((lambda chosen, prior: log10_blocks(rows[chosen], prior), want[0],
+             np.full(len(rows), input_error)),
+            (lr, want[1], np.full(len(kernel.c_h1), input_error)))
 
 
-def check_level_zero(term, want, input_error, prior, w_r):
+def check_level_zero(blocks, want, input_error, prior, w_r):
     """Each row's rule value is within TOL of the reference and within its
     reported error plus its input error; returns the reported errors."""
-    values, errors, _ = refine(term, len(want), prior, math.inf)
+    values, errors, _ = refine(blocks(slice(None), prior), len(want), math.inf)
     for i, (got, reported) in enumerate(zip(values.tolist(), errors.tolist())):
         true_error = abs(got - want[i])
         assert true_error <= TOL, (w_r, i)
@@ -118,15 +135,14 @@ def check_level_zero(term, want, input_error, prior, w_r):
     return errors
 
 
-def check_refined(term, want, input_error, prior, w_r):
+def check_refined(blocks, want, input_error, prior, w_r):
     """The rows whose rule estimate exceeds TOL/2, refined at tol = TOL, are
     each within TOL of the reference and within their reported error;
     returns their number."""
-    _, errors, _ = refine(term, len(want), prior, math.inf)
+    _, errors, _ = refine(blocks(slice(None), prior), len(want), math.inf)
     flagged = np.flatnonzero(errors > 0.5 * TOL)
     if len(flagged):
-        values, reported, _ = refine(lambda w, rows: term(w, flagged[rows]), len(flagged),
-                                     prior, TOL)
+        values, reported, _ = refine(blocks(flagged, prior), len(flagged), TOL)
         assert reported.max() <= TOL
         for i, got, bound in zip(flagged.tolist(), values.tolist(), reported.tolist()):
             true_error = abs(got - want[i])
@@ -192,7 +208,7 @@ def test_sharp_transition_row_is_refined_within_tol():
     kernel = case.kernel(0.0)
     assert np.allclose(kernel.c_t, [[2e-12, 2.0, -2.0]], rtol=1e-3)
     ref = reference(prior)
-    values, errors, flagged = refine(log10_term(kernel.c_t), 1, prior, TOL)
+    values, errors, flagged = refine(log10_blocks(kernel.c_t, prior), 1, TOL)
     assert flagged == 1
     assert errors[0] <= TOL
     assert abs(values[0] - ref.mean_log10(kernel.c_t[0])[0]) <= TOL
@@ -206,21 +222,52 @@ def test_sharp_transition_row_is_refined_within_tol():
                          ids=["0.6,2.4", "mean1e-3"])
 def test_level_zero_and_children_evaluate_alike(prior):
     """A refined row sums level-0 panels, evaluated on the nodes every row
-    shares, and child panels, evaluated on per-row points through
-    ``_integrand``; at the rule's nodes the two give the same bits, for each
-    hypothesis's rows and for the LR rows."""
+    shares, and child panels, evaluated on per-row points through the
+    block's integrand; at the rule's nodes the two give the same bits, for
+    each hypothesis's rows and for the LR rows, the LR rows also when the
+    children's product is taken in pieces of a few points."""
     rng = np.random.default_rng(7)
     q = rng.uniform(0.05, 0.95, 60)
     case = CaseData.from_arrays(rng.integers(0, 3, 60), rng.integers(0, 3, 60),
                                 hwe_prior_array(q))
     kernel = case.kernel(1e-4)
     rows = np.concatenate((kernel.c_h1, kernel.c_t))
-    w = _node_quantiles(prior)
+    f, level0 = log10_blocks(rows, prior)(0)
+    assert np.array_equal(f(*rule_panels(len(rows))).reshape(level0.shape), level0)
+    f, level0 = lr_blocks(kernel, prior)(0)
+    level0 = level0.copy()
+    for f in (f, _integrand(kernel, prior, 0, np.empty((2 * _QUAD_BLOCK, 4)))):
+        assert np.array_equal(f(*rule_panels(len(level0))).reshape(level0.shape), level0)
+
+
+def rule_panels(k):
+    """The rule's level-0 panels as child panels of each of ``k`` rows:
+    ``quad``'s ``(v, rows)``."""
     panels = _QUAD_NODES.reshape(-1, 21)
-    for term, k in ((log10_term(rows), len(rows)),
-                    (kernel.log10_lr_err, len(kernel.c_h1))):
-        level0 = term(w, slice(None))
-        children = _integrand(term, prior, 0)(np.tile(panels, (k, 1)),
-                                              np.repeat(np.arange(k), len(panels)))
-        for child, parent in zip(children, level0):
-            assert np.array_equal(child.reshape(parent.shape), parent)
+    return np.tile(panels, (k, 1)), np.repeat(np.arange(k), len(panels))
+
+
+def digests() -> str:
+    """Digests of 400 rows' level-0 LR values in their first block, their
+    values through the block's integrand on the rule's panels, and their
+    integrals and error estimates at tol = TOL, which refines most of them
+    at w_r = 0; a block's product is large enough for BLAS to thread."""
+    rng = np.random.default_rng(2601)
+    case = CaseData.from_arrays(rng.integers(0, 3, 400), rng.integers(0, 3, 400),
+                                hwe_prior_array(rng.uniform(0.05, 0.95, 400)))
+    kernel = case.kernel(0.0)
+    blocks = lr_blocks(kernel, ScaledBeta(0.6, 2.4))
+    f, level0 = blocks(0)
+    level0 = level0.copy()
+    children = f(*rule_panels(len(level0)))
+    values, errors, flagged = refine(blocks, len(kernel.counts), TOL)
+    assert flagged > 100
+    return " ".join(hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (level0, children, values, errors))
+
+
+def test_refined_rows_do_not_depend_on_blas_threads():
+    """The same level-0 values, child values and refined integrals in fresh
+    interpreters with one and two OpenBLAS threads, and in this one."""
+    seen = digests_under_blas_threads("test_quadrature_rule")
+    assert seen["1"] == seen["2"] == digests()

@@ -14,6 +14,7 @@ from conftest import markers, peak_rss_above_case_mb, random_case
 from snpwoe import unknown_w
 from snpwoe.evidence import (
     CaseData,
+    CaseKernel,
     DegenerateCaseError,
     MarkerObservation,
     joint_prob_h1,
@@ -191,8 +192,10 @@ class TestIntegrateQuad:
 
     def test_block_size_moves_nothing(self, monkeypatch):
         """A row's panels, splits and sums do not depend on the other rows
-        of its block, so one row per block and the default give the same
-        bits, here with refined rows in several blocks."""
+        of its block, nor a refined point's value on the piece of the
+        product it is taken from, so the default, refinement products of at
+        most 4 points each and one row per block give the same bits, here
+        with refined rows in several blocks."""
         rng = np.random.default_rng(36)
         q = rng.uniform(0.05, 0.95, 400)
         case = CaseData.from_arrays(rng.integers(0, 3, 400), rng.integers(0, 3, 400),
@@ -214,6 +217,25 @@ class TestIntegrateQuad:
 
         want = run()
         assert sum(n > 0 for n in flagged) >= 2
+        real_integrand, real_ratio = unknown_w._integrand, CaseKernel.log10_ratio
+        evaluations, pieces = [], []
+
+        def small_pieces(kernel, prior, start, out):
+            def f(v, rows):   # room for 4 points of the open rows' product
+                evaluations.append(len(v))
+                out = np.empty((2 * len(np.unique(rows)), 4))
+                return real_integrand(kernel, prior, start, out)(v, rows)
+            return f
+
+        def ratio(self, powers, rows, out, at=None):
+            if at is not None:
+                pieces.append(powers.shape[1])
+            return real_ratio(self, powers, rows, out, at)
+
+        monkeypatch.setattr(unknown_w, "_integrand", small_pieces)
+        monkeypatch.setattr(CaseKernel, "log10_ratio", ratio)
+        assert run() == want
+        assert len(pieces) > len(evaluations) and max(pieces) <= 4
         monkeypatch.setattr(unknown_w, "_QUAD_BLOCK", 1)
         assert run() == want
 
