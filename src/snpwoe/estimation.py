@@ -24,6 +24,7 @@ from .evidence import (
 from .genotypes import (
     CHANNEL_COEFFS,
     GenotypePriors,
+    shown_integer,
     validate_error_prob,
     validate_integer,
     validate_priors,
@@ -46,12 +47,11 @@ _MAX_PAIR_COUNT = 2 ** 53
 
 
 def _pair_count(n, a: int, b: int) -> int:
-    """``n`` as the count of pair ``(a, b)``: an integer in [0, 2**53]. A
-    count past 20 digits, which Python may refuse to print, is not shown."""
+    """``n`` as the count of pair ``(a, b)``: an integer in [0, 2**53]."""
     n = validate_integer(n, f"pair count [{a}, {b}]", 0)
     if n > _MAX_PAIR_COUNT:
-        shown = n if n < 10**20 else "a count of more than 20 digits"
-        raise ValueError(f"pair count [{a}, {b}] must be at most 2**53, got {shown}")
+        raise ValueError(f"pair count [{a}, {b}] must be at most 2**53, "
+                         f"got {shown_integer(n, 'a count')}")
     return n
 
 

@@ -366,10 +366,11 @@ class CaseKernel:
         """Per-row log10 P(x_t | x_r, H2, w, w_r), conditional on the reference read."""
         return _log_rows(self.c_t[rows], w)
 
-    def log10_lr(self, w, rows=slice(None)) -> np.ndarray:
-        """Per-row log10 likelihood ratio, :meth:`log10_h1` less :meth:`log10_h2`."""
+    def log10_lr(self, w, rows=slice(None), w_h2=None) -> np.ndarray:
+        """Per-row log10 likelihood ratio, :meth:`log10_h1` at ``w`` less
+        :meth:`log10_h2` at ``w_h2`` (``w`` when not given)."""
         lr = self.log10_h1(w, rows)
-        lr -= self.log10_h2(w, rows)
+        lr -= self.log10_h2(w if w_h2 is None else w_h2, rows)
         return lr
 
     def log10_ratio(self, powers: np.ndarray, rows, out: np.ndarray, at=None) -> np.ndarray:
@@ -386,13 +387,6 @@ class CaseKernel:
         p = np.matmul(coeffs, powers, out=out[:2 * k])
         h1, h2 = (p[:k], p[k:]) if at is None else (p.take(at), p.take(at + p[:k].size))
         return np.log10(np.divide(h1, h2, out=h1), out=h1)
-
-    def total(self, term, w):
-        """Sum over markers of ``term(w, rows)``, per-row terms such as
-        :meth:`log10_h1`, weighted by row counts; evaluated and summed one
-        block of rows at a time, so no (rows x points) matrix is built.
-        A float for scalar ``w``, an array of ``w``'s shape otherwise."""
-        return _row_total(self.counts, term, w)
 
 
 def joint_table_h1(priors: GenotypePriors, w_t, w_r) -> np.ndarray:
@@ -449,14 +443,14 @@ def lr(x_t, x_r, priors: GenotypePriors, w_t: float, w_r: float) -> float:
 def log10_lik_h1(case: CaseData, w_t, w_r: float):
     """Case-level log10 P(evidence | H1, w_t, w_r); ``w_t`` may be an array."""
     kernel = case.kernel(w_r)
-    return (kernel.total(kernel.log10_h1, error_prob_array(w_t, "w_t"))
+    return (_row_total(kernel.counts, kernel.log10_h1, error_prob_array(w_t, "w_t"))
             + _exact_sum(kernel.counts * kernel.log10_mr))
 
 
 def log10_lik_h2(case: CaseData, w_t, w_r: float):
     """Case-level log10 P(evidence | H2, w_t, w_r); ``w_t`` may be an array."""
     kernel = case.kernel(w_r)
-    return (kernel.total(kernel.log10_h2, error_prob_array(w_t, "w_t"))
+    return (_row_total(kernel.counts, kernel.log10_h2, error_prob_array(w_t, "w_t"))
             + _exact_sum(kernel.counts * kernel.log10_mr))
 
 
@@ -495,7 +489,7 @@ def woe_known(case: CaseData, w_t: float, w_r: float) -> float:
     w_r = validate_error_prob(w_r, "w_r")   # first, so woe_plugin's errors name w_r
     w_t = validate_error_prob(w_t, "w_t")
     kernel = _supported_kernel(case, w_t, w_r)
-    return kernel.total(kernel.log10_lr, w_t)
+    return _row_total(kernel.counts, kernel.log10_lr, w_t)
 
 
 def per_marker_log10_lr(case: CaseData, w_t: float, w_r: float,
@@ -507,6 +501,4 @@ def per_marker_log10_lr(case: CaseData, w_t: float, w_r: float,
     w_r = validate_error_prob(w_r, "w_r")
     w_h2 = w_t if w_t_h2 is None else validate_error_prob(w_t_h2, "w_t_h2")
     kernel = _supported_kernel(case, w_h2, w_r)
-    lr = kernel.log10_h1(w_t)
-    lr -= kernel.log10_h2(w_h2)
-    return lr[kernel.inverse]
+    return kernel.log10_lr(w_t, w_h2=w_h2)[kernel.inverse]

@@ -323,6 +323,9 @@ def load_study_config(path) -> StudyConfig:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: invalid YAML: {exc}") from exc
+    except ValueError as exc:   # PyYAML's int() and date() conversions give no line
+        raise ParseError(f"{path}: invalid YAML: an integer or date that cannot be "
+                         f"converted") from exc
     if not isinstance(data, dict):
         _config_error(path, "config must be a mapping")
     # The keys are StudyConfig's fields: required without a default, and

@@ -140,8 +140,14 @@ def validate_integer(n, name: str, minimum: int) -> int:
         value = int(x)
     if value < minimum:
         bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
-        raise ValueError(f"{name} must be {bound}, got {value!r}")
+        raise ValueError(f"{name} must be {bound}, got {shown_integer(value)}")
     return value
+
+
+def shown_integer(n: int, what: str = "an integer") -> str:
+    """``n`` as an error message shows it: its digits, or past 20 digits,
+    which Python may refuse to print, ``what`` named by its length."""
+    return repr(n) if abs(n) < 10**20 else f"{what} of more than 20 digits"
 
 
 def validate_positive(x, name: str) -> float:

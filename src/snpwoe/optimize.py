@@ -86,10 +86,7 @@ def maximize_on_interval(fn, lower: float, upper: float, coeffs: np.ndarray,
     """
     if not lower < upper:
         raise ValueError(f"need lower < upper, got [{lower!r}, {upper!r}]")
-    # np.linspace's own arithmetic, which scales first where the step underflows.
-    spacing = (upper - lower) / (_N_GRID - 1)
-    grid = np.arange(_N_GRID) * spacing + lower if spacing else np.linspace(lower, upper, _N_GRID)
-    grid[-1] = upper
+    grid = np.linspace(lower, upper, _N_GRID)
     rows = _SUM_BLOCK // _N_GRID
     with np.errstate(all="ignore"):   # p = 0 at a point makes its slope inf: bisect
         # The steering grid: a plain float sum, one block of rows at a time.

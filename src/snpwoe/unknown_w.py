@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evidence import _SUM_BLOCK, CaseData, CaseKernel, _exact_sum, _supported_kernel, woe_known
+from .evidence import (_SUM_BLOCK, CaseData, CaseKernel, _exact_sum, _row_total,
+                       _supported_kernel, woe_known)
 from .genotypes import validate_error_prob, validate_integer, validate_positive, validate_real
 from .optimize import HALF_OPEN_MARGIN, W_SEARCH_MAX, maximize_on_interval
 from .scaled_beta import ScaledBeta
@@ -66,18 +67,26 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+# Each diagnostic and the method whose results carry it, nonnegative; other
+# methods' results carry it as None.
+_DIAGNOSTICS = {
+    "w_hat_h1": METHOD_PROFILE, "w_hat_h2": METHOD_PROFILE,
+    "mc_std_error": METHOD_INTEGRATE_MC, "mc_draws_at_floor": METHOD_INTEGRATE_MC,
+    "quad_abserr": METHOD_INTEGRATE_QUAD, "quad_fallbacks": METHOD_INTEGRATE_QUAD,
+}
+
+
 @dataclass(frozen=True)
 class WoEResult:
     """Weight of evidence (log10 likelihood ratio) plus method metadata.
 
-    ``w_hat_h1``/``w_hat_h2`` are the per-hypothesis maximizers and are
-    present exactly for the profile method; ``mc_std_error``, the standard
-    error of the Monte Carlo mean, and ``mc_draws_at_floor``, the number of
-    prior draws raised to the ``w_t`` floor, are present exactly for
-    ``integrate-mc``;
-    ``quad_abserr`` (the largest per-row error estimate) and
-    ``quad_fallbacks`` (the number of row integrals refined by adaptive
-    bisection) are present exactly for ``integrate-quad``.
+    Each method's diagnostics are present exactly for its results: profile's
+    per-hypothesis maximizers ``w_hat_h1``/``w_hat_h2``; integrate-mc's
+    ``mc_std_error``, the standard error of the Monte Carlo mean, and
+    ``mc_draws_at_floor``, the number of prior draws raised to the ``w_t``
+    floor; integrate-quad's ``quad_abserr``, the largest per-row error
+    estimate, and ``quad_fallbacks``, the number of row integrals refined by
+    adaptive bisection.
     """
 
     woe: float
@@ -92,26 +101,11 @@ class WoEResult:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        has_hats = self.w_hat_h1 is not None or self.w_hat_h2 is not None
-        if self.method == METHOD_PROFILE:
-            if self.w_hat_h1 is None or self.w_hat_h2 is None:
-                raise ValueError("profile results must carry both maximizers")
-        elif has_hats:
-            raise ValueError(f"method {self.method!r} must not carry maximizers")
-        is_mc = self.method == METHOD_INTEGRATE_MC
-        if (self.mc_std_error is not None) != is_mc or (self.mc_draws_at_floor is not None) != is_mc:
-            raise ValueError("mc_std_error and mc_draws_at_floor are present exactly for "
-                             "integrate-mc results")
-        if is_mc and not (self.mc_std_error >= 0.0 and self.mc_draws_at_floor >= 0):
-            raise ValueError(f"mc_std_error and mc_draws_at_floor must be nonnegative, got "
-                             f"{self.mc_std_error!r} and {self.mc_draws_at_floor!r}")
-        is_quad = self.method == METHOD_INTEGRATE_QUAD
-        if (self.quad_abserr is not None) != is_quad or (self.quad_fallbacks is not None) != is_quad:
-            raise ValueError("quad_abserr and quad_fallbacks are present exactly for "
-                             "integrate-quad results")
-        if is_quad and not (self.quad_abserr >= 0.0 and self.quad_fallbacks >= 0):
-            raise ValueError(f"quad_abserr and quad_fallbacks must be nonnegative, got "
-                             f"{self.quad_abserr!r} and {self.quad_fallbacks!r}")
+        for name, method in _DIAGNOSTICS.items():
+            value = getattr(self, name)
+            if not (value is None if method != self.method else value is not None and value >= 0):
+                raise ValueError(f"{name} is present, and nonnegative, exactly for {method} "
+                                 f"results; got {value!r} for {self.method}")
         woe = float(self.woe)
         if math.isnan(woe):
             raise ValueError("WoE must not be NaN")
@@ -146,18 +140,26 @@ def woe_integrate_mc(case: CaseData, prior: ScaledBeta, w_r: float,
     w_r = validate_error_prob(w_r, "w_r")
     n_samples = validate_integer(n_samples, "n_samples", 2)
     kernel = _supported_kernel(case, None, w_r)
-    draws = np.maximum(prior.sample(rng, n_samples), _W_FLOOR)
+    draws = prior.sample(rng, n_samples)
     per_draw = _mc_sums(kernel, draws)
     woe = math.fsum(per_draw.tolist()) / n_samples
     se = float(np.std(per_draw, ddof=1) / math.sqrt(n_samples))
-    at_floor = int(np.count_nonzero(draws == _W_FLOOR))
+    at_floor = int(np.count_nonzero(draws <= _W_FLOOR))
     return WoEResult(woe, METHOD_INTEGRATE_MC, mc_std_error=se, mc_draws_at_floor=at_floor)
+
+
+def _powers(w: np.ndarray) -> np.ndarray:
+    """The powers ``(1, w, w**2)`` of points ``w`` floored at ``_W_FLOOR``: the
+    input of :meth:`~snpwoe.evidence.CaseKernel.log10_ratio` for MC's draws and
+    quadrature's nodes and refined points alike, so a point has one set of bits."""
+    w = np.maximum(w, _W_FLOOR)
+    return np.stack((np.ones_like(w), w, w * w))
 
 
 def _mc_sums(kernel: CaseKernel, draws: np.ndarray) -> np.ndarray:
     """Per draw, the count-weighted log10 LR of the kernel's rows, added in order."""
     step = max(1, _SUM_BLOCK // len(draws))
-    powers = np.stack((np.ones_like(draws), draws, draws * draws))
+    powers = _powers(draws)
     # Row 0 of the buffer carries each draw's sum over the rows before the
     # block, so the per-draw sums add the rows one by one in order, as one
     # axis-0 sum over all rows does. The block's terms are evaluated in the
@@ -240,8 +242,7 @@ def _node_powers(prior: ScaledBeta) -> np.ndarray:
     prior instance, as ``CaseData.kernel`` keeps its kernels on the case."""
     powers = prior.__dict__.get("_node_powers")
     if powers is None:
-        w = np.maximum(prior.quantile(_QUAD_NODES), _W_FLOOR)
-        powers = prior.__dict__["_node_powers"] = np.stack((np.ones_like(w), w, w * w))
+        powers = prior.__dict__["_node_powers"] = _powers(prior.quantile(_QUAD_NODES))
         powers.flags.writeable = False
     return powers
 
@@ -314,10 +315,9 @@ def _integrand(kernel: CaseKernel, prior: ScaledBeta, start: int, out: np.ndarra
     entries divided and logged: a point has the same bits as at level 0."""
     def f(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
         points, column = np.unique(v, return_inverse=True)
-        w = np.maximum(prior.quantile(points), _W_FLOOR)
-        powers = np.stack((np.ones_like(w), w, w * w))
+        powers = _powers(prior.quantile(points))
         rows, slot = np.unique(rows + start, return_inverse=True)   # the open rows
-        slot, column, k, n = np.repeat(slot, 21), column.ravel(), len(rows), len(w)
+        slot, column, k, n = np.repeat(slot, 21), column.ravel(), len(rows), len(points)
         pieces = -(-n // (out.size // (2 * k)))
         cuts = np.arange(pieces + 1) * n // pieces     # no piece of 1 point, which gemv takes
         values = np.empty(v.shape)
@@ -400,9 +400,9 @@ def woe_profile(case: CaseData, w_r: float, lower: float = 0.0,
     lower, upper = validate_profile_interval(lower, upper)
     kernel = _supported_kernel(case, None, w_r)
     hi = min(upper, W_SEARCH_MAX)
-    w1, v1 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h1, w), lower, hi,
-                                  kernel.c_h1, kernel.counts)
-    w2, v2 = maximize_on_interval(lambda w: kernel.total(kernel.log10_h2, w), lower, hi,
-                                  kernel.c_t, kernel.counts)
+    w1, v1 = maximize_on_interval(lambda w: _row_total(kernel.counts, kernel.log10_h1, w),
+                                  lower, hi, kernel.c_h1, kernel.counts)
+    w2, v2 = maximize_on_interval(lambda w: _row_total(kernel.counts, kernel.log10_h2, w),
+                                  lower, hi, kernel.c_t, kernel.counts)
     return WoEResult(v1 - v2, METHOD_PROFILE, w_hat_h1=w1, w_hat_h2=w2)
 

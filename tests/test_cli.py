@@ -316,6 +316,18 @@ class TestMalformedInput:
         assert main(["simulate", str(p), "--records", str(records), "--quiet"]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {p}: invalid config: master_seed")
 
+    def test_master_seed_of_4400_digits_exits_3(self, tmp_path, capsys):
+        """An integer YAML cannot convert, past Python's 4300-digit limit, is a
+        data error naming the file, not an interpreter setting."""
+        p = tmp_path / "study.yaml"
+        p.write_text(CONFIG_TEXT.replace("master_seed: 3", "master_seed: " + "7" * 4400))
+        records = tmp_path / "records.csv"
+        assert main(["simulate", str(p), "--records", str(records), "--quiet"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == (f"error: {p}: invalid YAML: an integer or date that cannot be "
+                       f"converted\n")
+        assert not records.exists()
+
     def test_negative_seed(self, case_path, capsys):
         assert main(["woe", str(case_path), "--w-r", "1e-4", "--prior-mean", "1e-3",
                      "--prior-var", "1e-8", "--seed", "-1"]) == EXIT_USAGE

@@ -200,7 +200,7 @@ class TestScalarBookkeeping:
         number of active peaks at each of its Newton steps, and each step's
         points, slopes and curvatures. ``log_lik`` sums the objective exactly
         at each point, so that a point's value does not depend on the others
-        in its call, as ``CaseKernel.total``'s does not."""
+        in its call, as ``evidence._row_total``'s does not."""
         fn, coeffs, counts = log_lik(rows, counts)
         steps = []
         log_slopes = optimize._log_slopes

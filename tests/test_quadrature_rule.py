@@ -14,13 +14,15 @@ import dataclasses
 import functools
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import digests_under_blas_threads
 from mpmath_reference import PriorReference
-from snpwoe.evidence import CaseData, _log_rows
+from snpwoe import unknown_w
+from snpwoe.evidence import CaseData, CaseKernel, _log_rows
 from snpwoe.genotypes import hwe_prior_array, hwe_priors
 from snpwoe.scaled_beta import ScaledBeta
 from snpwoe.unknown_w import (
@@ -102,6 +104,25 @@ def lr_blocks(kernel, prior):
     out = np.empty((2 * _QUAD_BLOCK, powers.shape[1]))
     return lambda start: (_integrand(kernel, prior, start, out),
                           kernel.log10_ratio(powers, slice(start, start + _QUAD_BLOCK), out))
+
+
+def mc_node_terms(kernel, prior):
+    """Monte Carlo's LR values, recorded as ``_mc_sums`` evaluates them a
+    block of rows at a time, at 1000 draws set to the prior's quantiles at
+    the rule's nodes (every node, then the first 13 again); and each draw's
+    node."""
+    index = np.arange(1000) % len(_QUAD_NODES)
+    terms, log10_ratio = [], CaseKernel.log10_ratio
+
+    def recorded(self, *args, **kwargs):
+        term = log10_ratio(self, *args, **kwargs)
+        terms.append(term.copy())
+        return term
+
+    with mock.patch.object(CaseKernel, "log10_ratio", recorded):
+        unknown_w._mc_sums(kernel, prior.quantile(_QUAD_NODES)[index])
+    assert {len(t) for t in terms[:-1]} <= {16}   # 16 rows a block at 1000 draws
+    return np.concatenate(terms), index
 
 
 def row_terms(kernel, ref, input_error):
@@ -225,7 +246,8 @@ def test_level_zero_and_children_evaluate_alike(prior):
     shares, and child panels, evaluated on per-row points through the
     block's integrand; at the rule's nodes the two give the same bits, for
     each hypothesis's rows and for the LR rows, the LR rows also when the
-    children's product is taken in pieces of a few points."""
+    children's product is taken in pieces of a few points. Monte Carlo's
+    LR values at draws on the nodes are the same bits too."""
     rng = np.random.default_rng(7)
     q = rng.uniform(0.05, 0.95, 60)
     case = CaseData.from_arrays(rng.integers(0, 3, 60), rng.integers(0, 3, 60),
@@ -238,6 +260,8 @@ def test_level_zero_and_children_evaluate_alike(prior):
     level0 = level0.copy()
     for f in (f, _integrand(kernel, prior, 0, np.empty((2 * _QUAD_BLOCK, 4)))):
         assert np.array_equal(f(*rule_panels(len(level0))).reshape(level0.shape), level0)
+    mc, index = mc_node_terms(kernel, prior)
+    assert mc.tobytes() == level0[:, index].tobytes()
 
 
 def rule_panels(k):
@@ -251,7 +275,9 @@ def digests() -> str:
     """Digests of 400 rows' level-0 LR values in their first block, their
     values through the block's integrand on the rule's panels, and their
     integrals and error estimates at tol = TOL, which refines most of them
-    at w_r = 0; a block's product is large enough for BLAS to thread."""
+    at w_r = 0; a block's product is large enough for BLAS to thread. Also
+    of Monte Carlo's LR values at draws on the nodes, checked to be the
+    first block's level-0 values there."""
     rng = np.random.default_rng(2601)
     case = CaseData.from_arrays(rng.integers(0, 3, 400), rng.integers(0, 3, 400),
                                 hwe_prior_array(rng.uniform(0.05, 0.95, 400)))
@@ -262,8 +288,10 @@ def digests() -> str:
     children = f(*rule_panels(len(level0)))
     values, errors, flagged = refine(blocks, len(kernel.counts), TOL)
     assert flagged > 100
+    mc, index = mc_node_terms(kernel, ScaledBeta(0.6, 2.4))
+    assert mc[:len(level0)].tobytes() == level0[:, index].tobytes()
     return " ".join(hashlib.sha256(a.tobytes()).hexdigest()
-                    for a in (level0, children, values, errors))
+                    for a in (level0, children, values, errors, mc))
 
 
 def test_refined_rows_do_not_depend_on_blas_threads():

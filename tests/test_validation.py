@@ -21,7 +21,7 @@ from snpwoe.cli import EXIT_DATA, EXIT_USAGE, main
 from snpwoe.estimation import PairCountTable
 from snpwoe.evidence import CaseData, joint_table_h1, joint_table_h2, log10_lik_h1, log10_lik_h2
 from snpwoe.fileio import ParseError, load_study_config
-from snpwoe.genotypes import channel_matrix, hwe_prior_array
+from snpwoe.genotypes import channel_matrix, hwe_prior_array, validate_integer
 from snpwoe.study import simulate_case, simulate_overdispersed_table
 from snpwoe.unknown_w import woe_integrate_mc, woe_integrate_quad, woe_plugin, woe_profile
 
@@ -223,6 +223,23 @@ def test_library_rejects_what_it_used_to_coerce(call, want):
     cast warning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + want):
+            call()
+
+
+def test_integers_too_long_to_print_are_named_by_their_length():
+    """An integer past 20 digits fails its rule with its length, not its
+    digits, which Python refuses to print past 4300; 20 digits are shown."""
+    long = "got an integer of more than 20 digits$"
+    for call, want in [
+        (lambda: validate_integer(-10**5000, "n", 0), "n must be nonnegative, " + long),
+        (lambda: validate_integer(-10**19, "n", 0), "n must be nonnegative, got -1" + "0" * 19 + "$"),
+        (lambda: PairCountTable([[-10**5000, 0, 0], [0, 1, 0], [0, 0, 1]], PRIORS75),
+         r"pair count \[0, 0\] must be nonnegative, " + long),
+        (lambda: StudyConfig(q_values=(0.75,), w_t_values=(1e-3,), w_r=1e-4, marker_counts=(6,),
+                             replicates=-10**5000, methods=("true-w",)),
+         "replicates must be at least 1, " + long),
+    ]:
         with pytest.raises(ValueError, match="^" + want):
             call()
 
