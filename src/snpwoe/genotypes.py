@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,9 @@ __all__ = [
 
 # Tolerance on sum-to-one checks for probability vectors built from floats.
 _SUM_TOL = 1e-12
+
+# Decimal integer text: its sign and its digits without leading zeros.
+_INTEGER_TEXT = re.compile(r"\s*([+-]?)0*(\d+)\s*")
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,18 @@ def validate_real(x, name: str) -> float:
 
 def validate_integer(n, name: str, minimum: int) -> int:
     """``n`` as an int of at least ``minimum``. A fraction or an infinity
-    is rejected, not truncated; integral floats and strings are accepted."""
+    is rejected, not truncated; integral floats and strings are accepted,
+    and decimal integer text is read exactly, not through a float."""
+    match = _INTEGER_TEXT.fullmatch(n) if isinstance(n, str) else None
     if isinstance(n, numbers.Integral) and not isinstance(n, bool):
         value = int(n)
+    elif match:
+        sign, digits = match.groups()
+        try:
+            value = int(sign + digits)
+        except ValueError:   # past the interpreter's digit limit
+            raise ValueError(f"{name} must be an integer of at most {sys.get_int_max_str_digits()}"
+                             f" digits, got one of {len(digits)} digits") from None
     else:
         x = validate_real(n, name)
         if not x.is_integer():

@@ -38,6 +38,7 @@ from .unknown_w import (
     METHOD_INTEGRATE_QUAD,
     METHOD_PLUGIN,
     METHOD_PROFILE,
+    METHODS,
     WoEResult,
     validate_profile_interval,
     woe_integrate_mc,
@@ -71,13 +72,7 @@ __all__ = [
 ]
 
 METHOD_TRUE_W = "true-w"
-STUDY_METHODS = (
-    METHOD_TRUE_W,
-    METHOD_PLUGIN,
-    METHOD_INTEGRATE_MC,
-    METHOD_INTEGRATE_QUAD,
-    METHOD_PROFILE,
-)
+STUDY_METHODS = (METHOD_TRUE_W, *METHODS[1:])
 _INTEGRATION_METHODS = (METHOD_INTEGRATE_MC, METHOD_INTEGRATE_QUAD)
 HYPOTHESES = ("H1", "H2")
 
@@ -110,11 +105,13 @@ def _one_of(value, name: str, allowed: tuple):
 
 
 def _checked_tuple(values, name: str, check, *args) -> tuple:
-    """``values`` as a nonempty tuple, element ``i`` passed through
-    ``check(value, f"{name}[{i}]", *args)``."""
+    """``values`` as a nonempty tuple of distinct values, element ``i``
+    passed through ``check(value, f"{name}[{i}]", *args)``."""
     out = tuple(check(v, f"{name}[{i}]", *args) for i, v in enumerate(values))
     if not out:
         raise ValueError(f"{name} must be nonempty")
+    if len(set(out)) != len(out):
+        raise ValueError(f"{name} must be distinct")
     return out
 
 
@@ -158,11 +155,9 @@ class StudyConfig:
         object.__setattr__(self, "w_r", validate_error_prob(self.w_r, "w_r"))
         object.__setattr__(self, "marker_counts",
                            _checked_tuple(self.marker_counts, "marker_counts", validate_integer, 1))
-        methods = _checked_tuple(self.methods, "methods", _one_of, STUDY_METHODS)
-        if len(set(methods)) != len(methods):
-            raise ValueError("methods must be distinct")
-        object.__setattr__(self, "methods", methods)
-        needs_priors = any(meth in _INTEGRATION_METHODS for meth in methods)
+        object.__setattr__(self, "methods",
+                           _checked_tuple(self.methods, "methods", _one_of, STUDY_METHODS))
+        needs_priors = any(meth in _INTEGRATION_METHODS for meth in self.methods)
         if needs_priors and not self.priors:
             raise ValueError("integration methods require at least one prior")
         object.__setattr__(self, "mc_samples", validate_integer(self.mc_samples, "mc_samples", 2))
@@ -278,8 +273,8 @@ def simulate_overdispersed_table(n_sites: int, prior: ScaledBeta,
 
 
 def _evaluate_method(method: str, case: CaseData, spec: PriorSpec | None,
-                     config: StudyConfig, w_t_true: float,
-                     mc_rng: np.random.Generator | None) -> WoEResult:
+                     config: StudyConfig, w_t_true: float, stream: tuple) -> WoEResult:
+    """``method`` on ``case``; MC draws from the substream keyed ``stream``."""
     if method == METHOD_TRUE_W:
         return woe_known_result(case, w_t_true, config.w_r)
     if method == METHOD_PLUGIN:
@@ -287,7 +282,8 @@ def _evaluate_method(method: str, case: CaseData, spec: PriorSpec | None,
     if method == METHOD_PROFILE:
         return woe_profile(case, config.w_r, config.profile_lower, config.profile_upper)
     if method == METHOD_INTEGRATE_MC:
-        return woe_integrate_mc(case, spec.dist, config.w_r, mc_rng, config.mc_samples)
+        return woe_integrate_mc(case, spec.dist, config.w_r,
+                                _substream(config.master_seed, *stream), config.mc_samples)
     if method == METHOD_INTEGRATE_QUAD:
         return woe_integrate_quad(case, spec.dist, config.w_r, config.quad_tol)
     raise ValueError(f"unknown method {method!r}")
@@ -303,28 +299,20 @@ def run_woe_study(config: StudyConfig, progress=None) -> list[StudyRecord]:
     cells = list(itertools.product(config.marker_counts, config.q_values,
                                    config.w_t_values))
     total = len(cells) * config.replicates
-    done = 0
     records: list[StudyRecord] = []
     for cell_index, (m, q, w_t_true) in enumerate(cells):
         priors = hwe_priors(q)
         for rep in range(config.replicates):
-            cases = (
-                ("H1", simulate_case("H1", m, priors, w_t_true, config.w_r,
-                                     _substream(config.master_seed, cell_index, rep, 0))),
-                ("H2", simulate_case("H2", m, priors, w_t_true, config.w_r,
-                                     _substream(config.master_seed, cell_index, rep, 1))),
-            )
-            for hyp_index, (hypothesis, case) in enumerate(cases):
+            for hyp_index, hypothesis in enumerate(HYPOTHESES):
+                case = simulate_case(hypothesis, m, priors, w_t_true, config.w_r,
+                                     _substream(config.master_seed, cell_index, rep, hyp_index))
                 for method in config.methods:
                     specs = config.priors if method in _INTEGRATION_METHODS else (None,)
                     for prior_index, spec in enumerate(specs):
-                        mc_rng = None
-                        if method == METHOD_INTEGRATE_MC:
-                            mc_rng = _substream(config.master_seed, cell_index, rep,
-                                                2 + 2 * prior_index + hyp_index)
+                        stream = (cell_index, rep, 2 + 2 * prior_index + hyp_index)
                         try:
                             result = _evaluate_method(method, case, spec, config,
-                                                      w_t_true, mc_rng)
+                                                      w_t_true, stream)
                         except Exception as exc:
                             raise StudyError(
                                 f"method {method!r} failed at m={m}, q={q!r}, "
@@ -342,9 +330,8 @@ def run_woe_study(config: StudyConfig, progress=None) -> list[StudyRecord]:
                             w_hat_h1=result.w_hat_h1,
                             w_hat_h2=result.w_hat_h2,
                         ))
-            done += 1
             if progress is not None:
-                progress(done, total)
+                progress(cell_index * config.replicates + rep + 1, total)
     return records
 
 
@@ -482,14 +469,11 @@ class OverdispersionSummaryRow:
     n_at_boundary: int
 
 
-def run_overdispersion_study(config: OverdispersionConfig,
-                             progress=None) -> list[OverdispersionRecord]:
+def run_overdispersion_study(config: OverdispersionConfig) -> list[OverdispersionRecord]:
     """Estimate a constant ``w`` from overdispersed duplicate tables across
     the configured grid; one record per (cell, replicate)."""
     cells = list(itertools.product(config.q_values, config.priors,
                                    config.table_sizes))
-    total = len(cells) * config.replicates
-    done = 0
     records: list[OverdispersionRecord] = []
     for cell_index, (q, spec, n_sites) in enumerate(cells):
         priors = hwe_priors(q)
@@ -507,9 +491,6 @@ def run_overdispersion_study(config: OverdispersionConfig,
                 q=q, prior_id=spec.prior_id, n_sites=n_sites, replicate=rep,
                 w_hat=est.w, at_boundary=est.at_boundary,
             ))
-            done += 1
-            if progress is not None:
-                progress(done, total)
     return records
 
 

@@ -117,6 +117,17 @@ class TestWoeCommand:
                               "--seed", "7", "--json"])
         assert c["woe"] != a["woe"]
 
+    def test_long_seed_is_read_exactly(self, case_path, capsys):
+        """A seed past 2**53 is used and reported with every digit: seeds one
+        apart draw apart, and 400 digits are a seed, not an infinity."""
+        argv = ["woe", str(case_path), "--w-r", "1e-4", "--prior-mean", "1e-3",
+                "--prior-var", "1e-6", "--json", "--seed"]
+        a = run_json(capsys, argv + ["12345678901234567890123"])
+        b = run_json(capsys, argv + ["12345678901234567890124"])
+        assert (a["seed"], b["seed"]) == (12345678901234567890123, 12345678901234567890124)
+        assert a["woe"] != b["woe"]
+        assert run_json(capsys, argv + ["7" * 400])["seed"] == int("7" * 400)
+
     def test_integration_quad_matches_library(self, case_path, capsys):
         from snpwoe.scaled_beta import ScaledBeta
         from snpwoe.unknown_w import woe_integrate_quad
@@ -328,6 +339,15 @@ class TestMalformedInput:
                        f"converted\n")
         assert not records.exists()
 
+    def test_repeated_grid_value_in_config_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "study.yaml"
+        p.write_text(CONFIG_TEXT.replace("q_values: [0.75]", "q_values: [0.75, 0.75]"))
+        records = tmp_path / "records.csv"
+        assert main(["simulate", str(p), "--records", str(records), "--quiet"]) == EXIT_DATA
+        assert capsys.readouterr().err == (f"error: {p}: invalid config: q_values must be "
+                                           f"distinct\n")
+        assert not records.exists()
+
     def test_negative_seed(self, case_path, capsys):
         assert main(["woe", str(case_path), "--w-r", "1e-4", "--prior-mean", "1e-3",
                      "--prior-var", "1e-8", "--seed", "-1"]) == EXIT_USAGE
@@ -416,6 +436,18 @@ class TestSimulateAndEce:
         code, records_path, _ = self.run_simulate(tmp_path, capsys, ("--quiet",))
         assert code == EXIT_OK
         assert records_path.read_bytes() == first_bytes
+
+    def test_quoted_master_seed_is_read_exactly(self, tmp_path, capsys):
+        """A quoted master_seed past 2**53 is the same seed as the YAML integer."""
+        seed = "12345678901234567890123"
+        outputs = []
+        for text in (seed, f'"{seed}"'):
+            cfg = tmp_path / "study.yaml"
+            cfg.write_text(CONFIG_TEXT.replace("master_seed: 3", f"master_seed: {text}"))
+            records = tmp_path / "records.csv"
+            assert main(["simulate", str(cfg), "--records", str(records), "--quiet"]) == EXIT_OK
+            outputs.append(records.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_progress_output(self, tmp_path, capsys):
         code, _, _ = self.run_simulate(tmp_path, capsys)

@@ -11,6 +11,7 @@ from snpwoe.evidence import joint_table_h1, trace_marginal
 from snpwoe.genotypes import hwe_priors
 from snpwoe.scaled_beta import ScaledBeta
 from snpwoe.study import (
+    HYPOTHESES,
     EceRow,
     OverdispersionConfig,
     PriorSpec,
@@ -28,6 +29,7 @@ from snpwoe.study import (
     summarize_records,
 )
 from snpwoe.evidence import woe_known
+from snpwoe.unknown_w import woe_integrate_mc, woe_integrate_quad
 
 PRIORS75 = hwe_priors(0.75)
 PRIOR_SPEC = PriorSpec("mean1e-2", ScaledBeta.from_moments(1e-2, 1e-5))
@@ -189,6 +191,22 @@ def test_integral_values_are_kept_as_ints():
     assert cfg.table_sizes == (1000,) and cfg.master_seed == 2**70
 
 
+@pytest.mark.parametrize("make, key, values", [
+    (study_config, "q_values", (0.75, 0.75)),
+    (study_config, "w_t_values", (1e-3, 0.01, "1e-3")),
+    (study_config, "marker_counts", (50, 50.0)),
+    (study_config, "methods", ("true-w", "true-w")),
+    (overdispersion_config, "q_values", (0.9, 0.5, 0.9)),
+    (overdispersion_config, "table_sizes", (100, "100")),
+])
+def test_grid_values_are_distinct(make, key, values):
+    """Two equal grid values would run two cells whose records share every
+    identifying column, so summaries would pool them and neither could be
+    re-simulated from its record."""
+    with pytest.raises(ValueError, match=f"^{key} must be distinct$"):
+        make(**{key: values})
+
+
 class TestRunWoeStudy:
     def test_record_grid_and_metadata(self):
         cfg = StudyConfig(
@@ -222,19 +240,36 @@ class TestRunWoeStudy:
         assert a != b
 
     def test_true_w_records_are_reconstructible(self):
-        cfg = StudyConfig(q_values=(0.75, 0.9), w_t_values=(1e-3,), w_r=1e-4,
-                          marker_counts=(8,), replicates=2,
-                          methods=("true-w",), master_seed=17)
-        records = run_woe_study(cfg)
-        cells = [(m, q, w) for m in cfg.marker_counts for q in cfg.q_values
-                 for w in cfg.w_t_values]
-        for rec in records:
-            cell_index = cells.index((rec.m, rec.q, rec.w_t_true))
-            stream = 0 if rec.hypothesis == "H1" else 1
-            case = simulate_case(rec.hypothesis, rec.m, hwe_priors(rec.q),
-                                 rec.w_t_true, cfg.w_r,
-                                 _substream(17, cell_index, rec.replicate, stream))
-            assert rec.woe == woe_known(case, rec.w_t_true, cfg.w_r)
+        """Every record rebuilds from its columns and its stream keys: the
+        case from (cell, replicate, hypothesis), MC's draws from (cell,
+        replicate, 2 + 2 * prior index + hypothesis index)."""
+        priors = (PRIOR_SPEC, PriorSpec("mean1e-3", ScaledBeta.from_moments(1e-3, 1e-6)))
+        for methods in [("true-w",), ("integrate-mc", "integrate-quad")]:
+            cfg = StudyConfig(q_values=(0.75, 0.9), w_t_values=(1e-3,), w_r=1e-4,
+                              marker_counts=(8,), replicates=2, methods=methods,
+                              priors=priors, master_seed=17, mc_samples=50)
+            records = run_woe_study(cfg)
+            assert len(records) == 8 * (1 if methods == ("true-w",) else 4)
+            cells = [(m, q, w) for m in cfg.marker_counts for q in cfg.q_values
+                     for w in cfg.w_t_values]
+            for rec in records:
+                cell_index = cells.index((rec.m, rec.q, rec.w_t_true))
+                hyp_index = HYPOTHESES.index(rec.hypothesis)
+                case = simulate_case(rec.hypothesis, rec.m, hwe_priors(rec.q),
+                                     rec.w_t_true, cfg.w_r,
+                                     _substream(17, cell_index, rec.replicate, hyp_index))
+                if rec.method == "true-w":
+                    assert rec.woe == woe_known(case, rec.w_t_true, cfg.w_r)
+                    continue
+                prior_index = [spec.prior_id for spec in priors].index(rec.prior_id)
+                prior = priors[prior_index].dist
+                if rec.method == "integrate-mc":
+                    rng = _substream(17, cell_index, rec.replicate,
+                                     2 + 2 * prior_index + hyp_index)
+                    want = woe_integrate_mc(case, prior, cfg.w_r, rng, cfg.mc_samples)
+                else:
+                    want = woe_integrate_quad(case, prior, cfg.w_r, cfg.quad_tol)
+                assert rec.woe == want.woe
 
     def test_progress_reporting(self):
         cfg = StudyConfig(q_values=(0.75,), w_t_values=(1e-3, 1e-2), w_r=1e-4,

@@ -244,6 +244,24 @@ def test_integers_too_long_to_print_are_named_by_their_length():
             call()
 
 
+def test_integer_text_is_read_exactly():
+    """Decimal integer text converts with ``int()``, not through a float, so
+    no digit past 2**53 is lost; text past Python's digit limit fails the
+    rule by its length. Float text keeps the float path."""
+    assert validate_integer("12345678901234567890123", "n", 0) == 12345678901234567890123
+    assert validate_integer(" +" + "7" * 400 + " ", "n", 0) == int("7" * 400)
+    assert validate_integer("0" * 5000 + "1", "n", 1) == 1
+    assert (validate_integer("1e3", "n", 0), validate_integer("2.0", "n", 0)) == (1000, 2)
+    cfg = StudyConfig(q_values=(0.75,), w_t_values=(1e-3,), w_r=1e-4, marker_counts=(6,),
+                      replicates=2, methods=("true-w",), master_seed="12345678901234567890123")
+    assert cfg.master_seed == 12345678901234567890123
+    with pytest.raises(ValueError, match=r"^n must be an integer of at most \d+ digits, "
+                                         r"got one of 4400 digits$"):
+        validate_integer("7" * 4400, "n", 0)
+    with pytest.raises(ValueError, match="^n must be nonnegative, got -12345678901234567890$"):
+        validate_integer("-12345678901234567890", "n", 0)
+
+
 def test_numeric_strings_are_numbers():
     """What ``float()`` parses is accepted, as YAML's ``1e-4`` string is."""
     cfg = StudyConfig(q_values=("0.75",), w_t_values=("1e-3",), w_r="1e-4",
