@@ -64,19 +64,16 @@ def _human(x: float) -> str:
     return f"{float(x):.4f}"
 
 
-def _strict_json(value):
-    """``value`` with each non-finite float as its text (``-inf``, ``inf``),
-    as the CSV writer renders it and ``float()`` reads it back."""
-    if isinstance(value, dict):
-        return {key: _strict_json(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_strict_json(item) for item in value]
+def _strict(value):
+    """``value``, or a non-finite float as its text (``-inf``, ``inf``), as
+    the CSV writer renders it and ``float()`` reads it back."""
     return fmt_float(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _print_json(payload: dict) -> None:
-    """``payload`` as RFC 8259 JSON, which has no literal for a non-finite number."""
-    print(json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False))
+    """``payload``, whose nested values are already strict, as RFC 8259 JSON."""
+    print(json.dumps({key: _strict(value) for key, value in payload.items()},
+                     indent=2, sort_keys=True, allow_nan=False))
 
 
 @cache
@@ -218,7 +215,7 @@ def cmd_woe(args) -> int:
         # H1 and H2 at the method's w_t; for profile, at their own maximizers.
         w_t = payload.get("w_hat_h1", payload.get("w_t", payload["w_r"]))
         lrs = per_marker_log10_lr(case, w_t, payload["w_r"], payload.get("w_hat_h2"))
-        payload["per_marker_log10_lr"] = [{"marker_id": case.marker_label(i), "log10_lr": lr}
+        payload["per_marker_log10_lr"] = [{"marker_id": case.marker_label(i), "log10_lr": _strict(lr)}
                                           for i, lr in enumerate(lrs.tolist())]
 
     if args.json:

@@ -116,7 +116,7 @@ class CaseData:
 
     def _set_columns(self, x_t, x_r, priors, ids, checked: bool = False) -> None:
         """The one check both constructors run; stores read-only columns.
-        Columns ``checked`` as the case-file parser makes them keep their values."""
+        Columns ``checked`` by the case-file parser keep their values; its ids are unique."""
         if not checked:
             if not np.size(x_t):
                 raise ValueError("a case needs at least one marker")
@@ -130,7 +130,7 @@ class CaseData:
             ids = tuple(ids if checked else map(str, ids))
             if len(ids) != m:
                 raise ValueError(f"got {len(ids)} marker ids for {m} markers")
-            if len(set(ids)) != len(ids):
+            if not checked and len(set(ids)) != len(ids):
                 raise ValueError("marker ids must be unique")
         for name, column in (("x_t", x_t), ("x_r", x_r), ("priors", priors)):
             column.flags.writeable = False

@@ -82,15 +82,24 @@ def _check_dosage(text: str, path, line: int, column: str) -> None:
 
 
 def _with_reader(path, read):
-    """``read(reader)`` of a ``csv.reader`` over the file; I/O and decoding
-    failures are parse errors naming the file."""
+    """``read(reader)`` of a ``csv.reader`` over the file; I/O, decoding and
+    CSV failures are parse errors naming the file. After a ``ParseError`` of
+    ``read`` the rest is decoded, so that text not UTF-8 is reported first."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            return read(csv.reader(fh))
+            reader = csv.reader(fh)
+            try:
+                return read(reader)
+            except ParseError:
+                for _ in fh:
+                    pass
+                raise
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _read_rows(path) -> list[tuple[int, list[str]]]:
@@ -122,18 +131,12 @@ def parse_case_file(path) -> CaseData:
     observed dosages ``x_t``/``x_r``, and priors as either an allele
     frequency column ``q`` or explicit columns ``p0,p1,p2``.
 
-    The header picks one priors form for the whole file. The rows are read
-    once, a block at a time, and checked a column at a time; only when a
-    check fails are they read again, one at a time, to name the first bad
-    line.
+    The header picks one priors form for the whole file. The file is read
+    once, a block of rows at a time, and each block is checked a column at
+    a time; only a block that fails is checked again, a row at a time, to
+    name the first bad line.
     """
-    try:
-        return _with_reader(path, _case_from_reader)
-    except ParseError:
-        raise
-    except ValueError:
-        pass
-    _fail_first_bad_line(path)
+    return _with_reader(path, lambda reader: _case_from_reader(path, reader))
 
 
 # Rows read and converted at a time, so that the text of at most one
@@ -141,29 +144,37 @@ def parse_case_file(path) -> CaseData:
 _BLOCK_ROWS = 1 << 16
 
 
-def _case_from_reader(reader) -> CaseData:
-    """The case in a case file's rows, every check made on a block's
-    columns. A failed check raises a ``ValueError`` that does not say where."""
+def _case_from_reader(path, reader) -> CaseData:
     header = next(filter(any, ([cell.strip() for cell in row] for row in reader)), None)
+    if header is None:
+        _fail(path, 1, "empty case file")
     if header not in (_CASE_HEADER_Q, _CASE_HEADER_P):
-        raise ValueError("bad header")
-    ids: list[str] = []
+        _fail(path, reader.line_num,
+              f"header must be {','.join(_CASE_HEADER_Q)} or "
+              f"{','.join(_CASE_HEADER_P)}, got {','.join(header)!r}")
+    # The ids in file order; the garbage collector does not scan a dict of str.
+    ids: dict[str, None] = {}
     blocks = []
+    header_line = line = reader.line_num   # line: the line each block starts after
     while rows := list(islice(reader, _BLOCK_ROWS)):
-        block_ids, *arrays = _block_columns(rows, len(header))
-        ids += block_ids
+        n = len(ids)
+        try:
+            block_ids, *arrays = _block_columns(rows, len(header))
+            ids.update(dict.fromkeys(block_ids))
+            if len(ids) != n + len(block_ids):
+                raise ValueError("duplicate marker_id")
+        except ValueError:
+            while len(ids) > n:   # the newest keys go first, leaving earlier blocks' ids
+                ids.popitem()
+            _fail_first_bad_row(path, line, rows, header, ids)
         blocks.append(arrays)
+        line = reader.line_num
     if not ids:
-        raise ValueError("no markers")
+        _fail(path, header_line, "case file has a header but no markers")
     x_t, x_r, priors = map(np.concatenate, zip(*blocks))
-    # CaseData checks only that the ids are unique; a duplicate raises ValueError.
     case = CaseData.__new__(CaseData)
     case._set_columns(x_t, x_r, priors, ids, checked=True)
     return case
-
-
-def _is_blank(row: list[str]) -> bool:
-    return not any(map(str.strip, row))
 
 
 def _dosage_column(texts: list[str]) -> np.ndarray:
@@ -175,7 +186,7 @@ def _dosage_column(texts: list[str]) -> np.ndarray:
 def _block_columns(rows: list[list[str]], n: int):
     """Ids, ``x_t``, ``x_r`` and priors of the nonblank rows of ``n`` cells."""
     if set(map(len, rows)) - {n}:
-        if not all(_is_blank(row) for row in rows if len(row) != n):
+        if any(any(map(str.strip, row)) for row in rows if len(row) != n):
             raise ValueError("bad column count")
         rows = [row for row in rows if len(row) == n]
     columns = [list(map(str.strip, map(itemgetter(k), rows))) for k in range(n)]
@@ -203,21 +214,15 @@ def _block_columns(rows: list[list[str]], n: int):
     return ids, _dosage_column(x_t), _dosage_column(x_r), priors
 
 
-def _fail_first_bad_line(path):
-    """Raise the ``ParseError`` of the first check a case file fails,
-    checking its rows one at a time in file order."""
-    rows = _read_rows(path)
-    if not rows:
-        raise ParseError(f"{path}:1: empty case file")
-    header_line, header = rows[0]
-    if header not in (_CASE_HEADER_Q, _CASE_HEADER_P):
-        _fail(path, header_line,
-              f"header must be {','.join(_CASE_HEADER_Q)} or "
-              f"{','.join(_CASE_HEADER_P)}, got {','.join(header)!r}")
-    if len(rows) == 1:
-        _fail(path, header_line, "case file has a header but no markers")
-    seen: set[str] = set()
-    for line, row in rows[1:]:
+def _fail_first_bad_row(path, line: int, rows: list, header: list, seen: dict):
+    """Raise the ``ParseError`` of the first of ``rows``, a block starting after
+    line ``line``, to fail a row-wise check; ``seen`` holds the earlier ids."""
+    for row in rows:
+        # A row spans one line plus one per line break inside its quoted cells.
+        line += 1 + sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n") for cell in row)
+        row = [cell.strip() for cell in row]
+        if not any(row):
+            continue
         if len(row) != len(header):
             _fail(path, line, f"expected {len(header)} columns, got {len(row)}")
         marker_id = row[0]
@@ -225,7 +230,7 @@ def _fail_first_bad_line(path):
             _fail(path, line, "marker_id must be nonempty")
         if marker_id in seen:
             _fail(path, line, f"duplicate marker_id {marker_id!r}")
-        seen.add(marker_id)
+        seen[marker_id] = None
         _check_dosage(row[1], path, line, "x_t")
         _check_dosage(row[2], path, line, "x_r")
         if header == _CASE_HEADER_Q:
@@ -247,9 +252,8 @@ def parse_pair_table_file(path) -> PairCountTable:
     """
     rows = _read_rows(path)
     if len(rows) != 5:
-        where = rows[-1][0] if rows else 1
-        raise ParseError(f"{path}:{where}: pair table must have exactly 5 "
-                         f"nonblank lines, got {len(rows)}")
+        _fail(path, rows[-1][0] if rows else 1,
+              f"pair table must have exactly 5 nonblank lines, got {len(rows)}")
     line, spec = rows[0]
     if spec[0] == "q" and len(spec) == 2:
         priors = hwe_priors(_parse_allele_freq(spec[1], path, line))
@@ -387,8 +391,7 @@ def _read_csv(path, cls, kind: str) -> list:
     parsers = [_cell_parser(types[name]) for name in header]
     rows = _read_rows(path)
     if not rows or rows[0][1] != header:
-        where = rows[0][0] if rows else 1
-        raise ParseError(f"{path}:{where}: expected {kind} header {','.join(header)!r}")
+        _fail(path, rows[0][0] if rows else 1, f"expected {kind} header {','.join(header)!r}")
     out = []
     for line, row in rows[1:]:
         if len(row) != len(header):

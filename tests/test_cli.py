@@ -307,6 +307,14 @@ class TestMalformedInput:
         assert main(["woe", str(p), "--w-r", "1e-4", "--w-t", "1e-3"]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {p}: not UTF-8")
 
+    def test_stray_quote_in_case_file(self, tmp_path, capsys):
+        # The quote on line 2 never closes: its field grows past the CSV
+        # reader's field limit, a data error and not a traceback.
+        p = tmp_path / "case.csv"
+        p.write_text('marker_id,x_t,x_r,q\n"' + "".join(f"rs{i},0,0,0.5\n" for i in range(20000)))
+        assert main(["woe", str(p), "--w-r", "1e-4", "--w-t", "1e-3"]) == EXIT_DATA
+        assert "field larger than field limit" in capsys.readouterr().err
+
     def test_non_utf8_config(self, tmp_path, capsys):
         p = tmp_path / "study.yaml"
         p.write_bytes(CONFIG_TEXT.encode() + b"# \xe9t\xe9\n")

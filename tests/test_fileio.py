@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from snpwoe import fileio
 from snpwoe.fileio import (
     ParseError,
     fmt_float,
@@ -135,6 +136,54 @@ class TestParseCaseFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="nope.csv"):
             parse_case_file(tmp_path / "nope.csv")
+
+    def test_unbalanced_quote_names_its_line(self, tmp_path):
+        # Line 2 opens a quote that never closes. From there every 16-character
+        # line goes into one field, until it passes the CSV reader's field limit.
+        limit = csv.field_size_limit()
+        p = tmp_path / "case.csv"
+        p.write_text('marker_id,x_t,x_r,q\n"' + "".join(f"rs{i:05},0,0,0.5\n" for i in range(20000)))
+        with pytest.raises(ParseError) as exc:
+            parse_case_file(p)
+        assert str(exc.value) == f"{p}:{2 + limit // 16}: field larger than field limit ({limit})"
+        for read in (parse_pair_table_file, read_records_csv, read_summary_csv):
+            with pytest.raises(ParseError, match="field larger than field limit"):
+                read(p)
+
+    def test_nul_byte_names_its_line(self, tmp_path):
+        # Python 3.10's CSV reader rejects the line; later ones read a bad dosage.
+        p = tmp_path / "case.csv"
+        p.write_text("marker_id,x_t,x_r,q\nrs1,0\0,0,0.5\nrs2,0,0,0.5\n")
+        with pytest.raises(ParseError) as exc:
+            parse_case_file(p)
+        assert str(exc.value).startswith(f"{p}:2: ")
+
+    @pytest.mark.parametrize("block_rows", [None, 2], ids=["blocks-default", "blocks-of-2"])
+    @pytest.mark.parametrize("first, last, error", [
+        ("rs0,0,1,0.5", b"rs3000,1,1,0.5\n", None),
+        ("rs0,0,1,0.5", b"rs3000,3,1,0.5\n", ":3002: column 'x_t': dosage"),
+        ("rs0,0,1,0.5", b"rs0,1,1,0.5\n", ":3002: duplicate marker_id 'rs0'"),
+        ("rs0,9,1,0.5", b"rs3000,1,1,0.5\xff\n", ": not UTF-8 text"),
+    ], ids=["clean", "bad-last-line", "duplicate-last-id", "bad-row-then-non-utf8-tail"])
+    def test_opened_once(self, tmp_path, monkeypatch, block_rows, first, last, error):
+        if block_rows is not None:
+            monkeypatch.setattr(fileio, "_BLOCK_ROWS", block_rows)
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(fileio, "open", counting_open, raising=False)
+        p = tmp_path / "case.csv"
+        rows = [first] + [f"rs{i},{i % 3},1,0.5" for i in range(1, 3000)]
+        p.write_bytes("".join(f"{row}\n" for row in ["marker_id,x_t,x_r,q", *rows]).encode() + last)
+        if error is None:
+            assert parse_case_file(p).m == 3001
+        else:
+            with pytest.raises(ParseError, match=error):
+                parse_case_file(p)
+        assert opened == [p]
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # Spreadsheet CSV exports often begin with a UTF-8 byte-order mark.

@@ -135,8 +135,9 @@ class TestMalformedRows:
         assert isinstance(check(self.placed(P_HEADER, P_ROWS, BAD_P_ROWS[kind], where)), str)
 
     def test_after_blank_and_multiline_rows(self, check, where):
-        # Blank lines and a quoted line break move the line numbers.
-        rows = ["", Q_ROWS[0], '"rs\n10",1,1,0.5', "   ", Q_ROWS[1], ",,,"]
+        # Blank lines and quoted line breaks (\n, \r, \r\n) move the line numbers.
+        rows = ["", '"rs\r11",2,1,0.5', '"rs\r\n12\r\n",0,1,0.5', Q_ROWS[0], '"rs\n10",1,1,0.5',
+                "   ", Q_ROWS[1], ",,,"]
         error = check(self.placed(Q_HEADER, rows, BAD_Q_ROWS["x_t-3"], where))
         assert error.endswith("dosage must be 0, 1 or 2, got '3'")
 
@@ -158,6 +159,9 @@ class TestFileErrors:
     def test_non_utf8_beats_a_bad_row(self, check):
         data = lines(Q_HEADER, "rs9,3,0,0.75", *Q_ROWS).encode() + b"rs8,0,0,0.5\xff\n"
         assert "not UTF-8" in check(data)
+        # The undecodable byte lies past the bad row's block and the first chunk decoded.
+        rows = [f"m{i},0,0,0.5" for i in range(5000)]
+        assert "not UTF-8" in check(lines(Q_HEADER, "rs9,3,0,0.75", *rows).encode() + b"\xff\n")
 
     def test_missing_file(self, tmp_path):
         path = tmp_path / "nope.csv"
